@@ -166,14 +166,12 @@ def cmd_fit(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        scenario = load_scenario(args.scenario)
+        report = run_scenario(load_scenario(args.scenario))
     except OSError as exc:
         return _fail("input", str(exc), EXIT_INPUT_ERROR)
     except ScenarioError as exc:
         where = f" (key: {exc.key})" if exc.key else ""
         return _fail("input", f"{exc}{where}", EXIT_INPUT_ERROR)
-
-    report = run_scenario(scenario)
     payload = _maybe_meta(report.to_json_dict(), args.meta)
     _emit_json(payload, args.out)
 

@@ -153,14 +153,15 @@ def _box_candidates(d: Dataset, m: RegressionModel, n_sub: int,
 
 def _residual_matrix(d: Dataset, m: RegressionModel, XI: np.ndarray) -> np.ndarray:
     """(C, n) residuals for a stack of candidate parameters."""
-    q = m.q
-    if m.name in ("linear", "location"):
-        fitted = XI[:, :q] @ d.x.T if q else np.zeros((len(XI), d.n))
-        return d.y[None, :] - fitted - XI[:, q:]
     R = np.empty((len(XI), d.n))
     for c, xi in enumerate(XI):
-        R[c] = d.y - m.eval_batch(d.x, xi[:q]) - xi[q]
+        R[c] = d.y - m.eval_batch(d.x, xi[:m.q]) - xi[m.q]
     return R
+
+
+def _jacobian(d: Dataset, m: RegressionModel, xi: np.ndarray) -> np.ndarray:
+    """(n, q+1) augmented gradient rows at the flat parameter xi."""
+    return augmented_grad_rows(m, d.x, AugmentedParam.from_array(xi))
 
 
 def _wls_step(J: np.ndarray, w: np.ndarray, r: np.ndarray) -> Optional[np.ndarray]:
@@ -200,21 +201,13 @@ def _quick_refine(d: Dataset, m: RegressionModel, XI: np.ndarray,
             return XI, np.where(status == 1, 0.0, sigma)
         W = cfg.rho0.weight(R / sigma[:, None])
         for c in range(len(XI)):
-            J = augmented_grad_rows(m, d.x, AugmentedParam(XI[c, :m.q], XI[c, m.q]))
-            step = _wls_step(J, W[c], R[c])
+            step = _wls_step(_jacobian(d, m, XI[c]), W[c], R[c])
             if step is not None:
                 XI[c] = _project(m, XI[c] + step)
     R = _residual_matrix(d, m, XI)
     sigma, _, _, status = _mscale_batch(R, cfg.rho0, cfg.delta, refine_tol, 150)
     sigma = np.where(status == 1, 0.0, sigma)
     return XI, sigma
-
-
-def _grad_rows_at(d: Dataset, m: RegressionModel, xi: np.ndarray,
-                  fixed_J: Optional[np.ndarray]) -> np.ndarray:
-    if fixed_J is not None:
-        return fixed_J
-    return augmented_grad_rows(m, d.x, AugmentedParam(xi[:m.q], xi[m.q]))
 
 
 def _refine_s_full(d: Dataset, m: RegressionModel, xi: np.ndarray,
@@ -226,16 +219,13 @@ def _refine_s_full(d: Dataset, m: RegressionModel, xi: np.ndarray,
     loss = _loss_eval(cfg.rho0)
     solve_tol = max(mcfg.tol, min(1e-8, step_tol))
     xi = xi.copy()
-    fixed_J = (augmented_grad_rows(m, d.x, AugmentedParam(xi[:m.q], xi[m.q]))
-               if m.name in ("linear", "location") else None)
-    r = residuals(d, m, AugmentedParam(xi[:m.q], xi[m.q]))
+    r = residuals(d, m, AugmentedParam.from_array(xi))
     sigma = _mscale_scalar(r, cfg.rho0, cfg.delta, solve_tol, mcfg.max_iter)
     if sigma == 0.0:
         return xi, 0.0, 0, True
     for it in range(1, cfg.irwls_max_iter + 1):
         w = cfg.rho0.weight(r / sigma)
-        J = _grad_rows_at(d, m, xi, fixed_J)
-        step = _wls_step(J, w, r)
+        step = _wls_step(_jacobian(d, m, xi), w, r)
         if step is None:
             return xi, sigma, it, True
         # descent gate: sigma(trial) <= s* iff the mean loss at s* is at
@@ -246,7 +236,7 @@ def _refine_s_full(d: Dataset, m: RegressionModel, xi: np.ndarray,
         improved = False
         for _ in range(MAX_HALVINGS + 1):
             trial = _project(m, xi + step)
-            r_trial = residuals(d, m, AugmentedParam(trial[:m.q], trial[m.q]))
+            r_trial = residuals(d, m, AugmentedParam.from_array(trial))
             if float(loss(np.abs(r_trial) / gate).mean()) <= cfg.delta:
                 improved = True
                 break
@@ -316,29 +306,30 @@ def _fit_s_stage(d: Dataset, m: RegressionModel, cfg: FitConfig):
     refined = []
     for xi_f, s_f in reps:
         if s_f == 0.0:
-            refined.append((xi_f, s_f))
+            refined.append((xi_f, s_f, True))
             continue
-        xi_r, s_r, its, _ = _refine_s_full(d, m, xi_f, cfg, cfg.irwls_tol)
-        refined.append((xi_r, s_r))
+        xi_r, s_r, its, conv = _refine_s_full(d, m, xi_f, cfg, cfg.irwls_tol)
+        refined.append((xi_r, s_r, conv))
         iters_total += its
-    XI_f = np.asarray([xi for xi, _ in refined])
-    sig_f = np.asarray([s for _, s in refined])
+    XI_f = np.asarray([xi for xi, _, _ in refined])
+    sig_f = np.asarray([s for _, s, _ in refined])
     best = _pick_best(XI_f, sig_f)
     xi_best = XI_f[best]
     exact = sig_f[best] == 0.0
+    converged = refined[best][2]
     if exact:
         sigma_hat = 0.0
     else:
-        sigma_hat = mscale(residuals(d, m, AugmentedParam(xi_best[:m.q], xi_best[m.q])),
+        sigma_hat = mscale(residuals(d, m, AugmentedParam.from_array(xi_best)),
                            cfg.rho0, cfg.mscale_config())
-    xi_s = AugmentedParam(beta=xi_best[:m.q], alpha=xi_best[m.q])
-    return xi_s, sigma_hat, len(cands), iters_total, exact
+    xi_s = AugmentedParam.from_array(xi_best)
+    return xi_s, sigma_hat, len(cands), iters_total, exact, converged
 
 
 def fit_s(d: Dataset, m: RegressionModel, cfg: FitConfig):
     """S-estimate: the candidate minimizing the M-scale of its residuals,
     together with the attained scale. A zero scale flags an exact fit."""
-    xi_s, sigma_hat, _, _, _ = _fit_s_stage(d, m, cfg)
+    xi_s, sigma_hat, _, _, _, _ = _fit_s_stage(d, m, cfg)
     return xi_s, sigma_hat
 
 
@@ -359,34 +350,31 @@ def _fit_mm_stage(d: Dataset, m: RegressionModel, cfg: FitConfig, sigma: float,
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     xi = start.as_array().copy()
-    fixed_J = (augmented_grad_rows(m, d.x, start)
-               if m.name in ("linear", "location") else None)
     r = residuals(d, m, start)
     obj = _mm_objective(r, cfg.rho1, sigma)
     for it in range(1, cfg.irwls_max_iter + 1):
         w = cfg.rho1.weight(r / sigma)
-        J = _grad_rows_at(d, m, xi, fixed_J)
-        step = _wls_step(J, w, r)
+        step = _wls_step(_jacobian(d, m, xi), w, r)
         if step is None:
-            return AugmentedParam(xi[:m.q], xi[m.q]), it, True
+            return AugmentedParam.from_array(xi), it, True
         improved = False
         for _ in range(MAX_HALVINGS + 1):
             trial = _project(m, xi + step)
-            r_trial = residuals(d, m, AugmentedParam(trial[:m.q], trial[m.q]))
+            r_trial = residuals(d, m, AugmentedParam.from_array(trial))
             obj_new = _mm_objective(r_trial, cfg.rho1, sigma)
             if obj_new <= obj:
                 improved = True
                 break
             step = 0.5 * step
         if not improved:
-            return AugmentedParam(xi[:m.q], xi[m.q]), it, True
+            return AugmentedParam.from_array(xi), it, True
         moved = np.linalg.norm(trial - xi)
         xi, obj, r = trial, obj_new, r_trial
         if moved <= cfg.irwls_tol * (1.0 + np.linalg.norm(xi)):
-            return AugmentedParam(xi[:m.q], xi[m.q]), it, True
+            return AugmentedParam.from_array(xi), it, True
     raise ConvergenceError(
         f"MM stage did not converge in {cfg.irwls_max_iter} iterations",
-        last=AugmentedParam(xi[:m.q], xi[m.q]))
+        last=AugmentedParam.from_array(xi))
 
 
 def _equation_residuals(d: Dataset, m: RegressionModel, cfg: FitConfig,
@@ -408,8 +396,10 @@ def fit(d: Dataset, m: RegressionModel, cfg: FitConfig) -> FitResult:
 
     An exact S fit (zero scale) short-circuits the MM stage: the MM
     solution is set to the S solution and the result is flagged.
+    ``converged_s`` is False when the full-tolerance refinement of the
+    chosen S candidate stopped at ``irwls_max_iter``.
     """
-    xi_s, sigma, n_cands, iters_s, exact = _fit_s_stage(d, m, cfg)
+    xi_s, sigma, n_cands, iters_s, exact, conv_s = _fit_s_stage(d, m, cfg)
     if exact or sigma == 0.0:
         return FitResult(xi_s=xi_s, xi_mm=xi_s, sigma=0.0, objective_s=0.0,
                          objective_mm=0.0, converged_s=True, converged_mm=True,
@@ -420,7 +410,7 @@ def fit(d: Dataset, m: RegressionModel, cfg: FitConfig) -> FitResult:
     obj_mm = _mm_objective(residuals(d, m, xi_mm), cfg.rho1, sigma)
     eqs = _equation_residuals(d, m, cfg, xi_s, xi_mm, sigma)
     return FitResult(xi_s=xi_s, xi_mm=xi_mm, sigma=sigma, objective_s=sigma,
-                     objective_mm=obj_mm, converged_s=True, converged_mm=conv_mm,
+                     objective_mm=obj_mm, converged_s=conv_s, converged_mm=conv_mm,
                      iterations_s=iters_s, iterations_mm=iters_mm,
                      candidates_evaluated=n_cands, exact_fit=False,
                      equation_residuals=eqs,

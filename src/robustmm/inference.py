@@ -22,8 +22,7 @@ import numpy as np
 from .estimators import FitConfig, FitResult
 from .exceptions import SingularityError
 from .model import (AugmentedParam, Dataset, RegressionModel,
-                    augmented_grad, augmented_grad_rows, augmented_hess,
-                    residuals)
+                    augmented_grad_rows, augmented_hess_rows, residuals)
 from .rho import RhoFunction
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "InferenceReport",
     "PsiSystem",
     "plugin_constants",
-    "closed_form_c0",
     "closed_form_c0_inv",
     "closed_form_d0",
     "closed_form_d0_inv",
@@ -171,21 +169,14 @@ class PsiSystem:
                 AugmentedParam.from_array(theta[q1:2 * q1]), sigma)
 
     def psi(self, x, y, theta) -> np.ndarray:
-        """[psi0(t_S) gdot(xi_S); psi1(t_MM) gdot(xi_MM); rho0(t_S) - delta]."""
-        xi_s, xi_mm, sigma = self.split(theta)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        g_s = augmented_grad(self.m, x, xi_s)
-        g_mm = augmented_grad(self.m, x, xi_mm)
-        t_s = (y - self.m.value(x, xi_s.beta) - xi_s.alpha) / sigma
-        t_mm = (y - self.m.value(x, xi_mm.beta) - xi_mm.alpha) / sigma
-        return np.concatenate([
-            self.rho0.psi(t_s) * g_s,
-            self.rho1.psi(t_mm) * g_mm,
-            [self.rho0.rho(t_s) - self.delta],
-        ])
+        """Score vector of one observation: the one-row case of
+        ``psi_matrix``."""
+        return self.psi_matrix(_one_row(x, y), theta)[0]
 
     def psi_matrix(self, d: Dataset, theta) -> np.ndarray:
-        """(n, 2q+3) stack of score vectors over a dataset."""
+        """(n, 2q+3) stack of score vectors over a dataset, one row
+        [psi0(t_S) gdot(xi_S); psi1(t_MM) gdot(xi_MM); rho0(t_S) - delta]
+        per observation."""
         xi_s, xi_mm, sigma = self.split(theta)
         t_s = residuals(d, self.m, xi_s) / sigma
         t_mm = residuals(d, self.m, xi_mm) / sigma
@@ -198,54 +189,35 @@ class PsiSystem:
         ])
 
     def psi_jacobian(self, x, y, theta) -> np.ndarray:
-        """dPsi/dtheta for one observation.
+        """dPsi/dtheta for one observation: the one-row case of
+        ``empirical_d0``."""
+        return self.empirical_d0(_one_row(x, y), theta)
+
+    def empirical_d0(self, d: Dataset, theta) -> np.ndarray:
+        """Mean of the per-observation Jacobians dPsi/dtheta over the dataset.
 
         The 3x3 block pattern is fixed: blocks (1,2), (2,1) and (3,2) are
         identically zero because the S rows do not involve xi_MM and the
         scale row does not involve xi_MM either.
         """
         xi_s, xi_mm, sigma = self.split(theta)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        q1 = self.m.q + 1
-        g_s = augmented_grad(self.m, x, xi_s)
-        g_mm = augmented_grad(self.m, x, xi_mm)
-        H_s = augmented_hess(self.m, x, xi_s)
-        H_mm = augmented_hess(self.m, x, xi_mm)
-        t_s = (y - self.m.value(x, xi_s.beta) - xi_s.alpha) / sigma
-        t_mm = (y - self.m.value(x, xi_mm.beta) - xi_mm.alpha) / sigma
-
-        out = np.zeros((self.dim, self.dim))
-        s, mm, sg = slice(0, q1), slice(q1, 2 * q1), 2 * q1
-        out[s, s] = (-self.rho0.psi_prime(t_s) / sigma) * np.outer(g_s, g_s) \
-            + self.rho0.psi(t_s) * H_s
-        out[s, sg] = (-self.rho0.psi_prime(t_s) * t_s / sigma) * g_s
-        out[mm, mm] = (-self.rho1.psi_prime(t_mm) / sigma) * np.outer(g_mm, g_mm) \
-            + self.rho1.psi(t_mm) * H_mm
-        out[mm, sg] = (-self.rho1.psi_prime(t_mm) * t_mm / sigma) * g_mm
-        out[sg, s] = (-self.rho0.psi(t_s) / sigma) * g_s
-        out[sg, sg] = -self.rho0.psi(t_s) * t_s / sigma
-        return out
-
-    def empirical_d0(self, d: Dataset, theta) -> np.ndarray:
-        """Mean of the per-observation Jacobians over the dataset."""
-        xi_s, xi_mm, sigma = self.split(theta)
         q1 = self.m.q + 1
         t_s = residuals(d, self.m, xi_s) / sigma
         t_mm = residuals(d, self.m, xi_mm) / sigma
         J_s = augmented_grad_rows(self.m, d.x, xi_s)
         J_mm = augmented_grad_rows(self.m, d.x, xi_mm)
+        H_s = augmented_hess_rows(self.m, d.x, xi_s)
+        H_mm = augmented_hess_rows(self.m, d.x, xi_mm)
         p0, p1 = self.rho0.psi(t_s), self.rho1.psi(t_mm)
         pp0, pp1 = self.rho0.psi_prime(t_s), self.rho1.psi_prime(t_mm)
 
         out = np.zeros((self.dim, self.dim))
         s, mm, sg = slice(0, q1), slice(q1, 2 * q1), 2 * q1
         n = d.n
-        out[s, s] = -np.einsum("i,ij,ik->jk", pp0, J_s, J_s) / (n * sigma)
-        out[mm, mm] = -np.einsum("i,ij,ik->jk", pp1, J_mm, J_mm) / (n * sigma)
-        if self.m.name not in ("linear", "location"):
-            for i in range(n):
-                out[s, s] += p0[i] * augmented_hess(self.m, d.x[i], xi_s) / n
-                out[mm, mm] += p1[i] * augmented_hess(self.m, d.x[i], xi_mm) / n
+        out[s, s] = (-np.einsum("i,ij,ik->jk", pp0, J_s, J_s) / sigma
+                     + np.einsum("i,ijk->jk", p0, H_s)) / n
+        out[mm, mm] = (-np.einsum("i,ij,ik->jk", pp1, J_mm, J_mm) / sigma
+                       + np.einsum("i,ijk->jk", p1, H_mm)) / n
         out[s, sg] = -(pp0 * t_s) @ J_s / (n * sigma)
         out[mm, sg] = -(pp1 * t_mm) @ J_mm / (n * sigma)
         out[sg, s] = -p0 @ J_s / (n * sigma)
@@ -253,12 +225,13 @@ class PsiSystem:
         return out
 
 
+def _one_row(x, y) -> Dataset:
+    """A single observation as a one-row dataset."""
+    return Dataset(x=np.atleast_2d(np.asarray(x, dtype=float)), y=[y])
+
+
 # ---------------------------------------------------------------------------
 # closed-form block algebra
-
-def closed_form_c0(c: InferenceConstants) -> np.ndarray:
-    return c.C0
-
 
 def closed_form_c0_inv(c: InferenceConstants) -> np.ndarray:
     """[[A0^{-1}, -A0^{-1} b0], [-(A0^{-1} b0)', 1 + b0' A0^{-1} b0]]."""
@@ -320,11 +293,13 @@ def d0_determinant_factor(c: InferenceConstants) -> float:
 # influence functions (closed forms)
 
 def _t_values(x, y, m: RegressionModel, beta, c: InferenceConstants):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = m.value(x, np.asarray(beta, dtype=float))
+    """Model gradient and standardized S and MM residuals at one point."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    beta = np.asarray(beta, dtype=float)
+    g = m.eval_batch(X, beta)[0]
     t_s = (y - g - c.alpha00) / c.sigma0
     t_mm = (y - g - c.alpha01) / c.sigma0
-    return x, t_s, t_mm
+    return m.grad_rows(X, beta)[0], t_s, t_mm
 
 
 def influence_mm(x, y, m: RegressionModel, beta, c: InferenceConstants) -> np.ndarray:
@@ -335,8 +310,7 @@ def influence_mm(x, y, m: RegressionModel, beta, c: InferenceConstants) -> np.nd
     e01 (rho0(t_S) - delta), which vanishes under symmetric errors.
     """
     c.require_regular()
-    x, t_s, t_mm = _t_values(x, y, m, beta, c)
-    gdot = m.grad(x, np.asarray(beta, dtype=float))
+    gdot, t_s, t_mm = _t_values(x, y, m, beta, c)
     lead = c.sigma0 / c.a01 * c.rho1.psi(t_mm)
     scale_term = (c.sigma0 * c.e01 / (c.a01 * c.d0)) * (c.rho0.rho(t_s) - c.delta)
     if c.q:
@@ -351,8 +325,7 @@ def influence_s(x, y, m: RegressionModel, beta, c: InferenceConstants) -> np.nda
     """Influence of the S block; same shape as the MM one with the S-stage
     score and constants (a00, e00, alpha00)."""
     c.require_regular()
-    x, t_s, _ = _t_values(x, y, m, beta, c)
-    gdot = m.grad(x, np.asarray(beta, dtype=float))
+    gdot, t_s, _ = _t_values(x, y, m, beta, c)
     lead = c.sigma0 / c.a00 * c.rho0.psi(t_s)
     scale_term = (c.sigma0 * c.e00 / (c.a00 * c.d0)) * (c.rho0.rho(t_s) - c.delta)
     if c.q:

@@ -8,7 +8,7 @@ identifies the slopes without any centering assumption on the errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -25,8 +25,8 @@ __all__ = [
     "exp_model",
     "fd_model",
     "residuals",
-    "augmented_grad",
-    "augmented_hess",
+    "augmented_grad_rows",
+    "augmented_hess_rows",
     "check_identifiability",
     "IdentifiabilityReport",
     "load_csv",
@@ -35,37 +35,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegressionModel:
-    """Mean function with derivatives.
+    """Mean function with derivatives, evaluated over a whole design.
 
-    ``value``, ``grad`` and ``hess`` act on a single predictor row
-    (shape (p,)) and a coefficient vector beta (shape (q,)); ``hess``
-    must be symmetric. ``value_batch``/``grad_batch`` act on the whole
-    (n, p) design and default to row loops. ``bounds`` is an optional
-    (q, 2) compact box used to generate and project candidates for
-    nonlinear fits. Instances are immutable; evaluation is pure.
+    ``value``, ``grad`` and ``hess`` take the (n, p) design X and a
+    coefficient vector beta (shape (q,)) and return shapes (n,), (n, q)
+    and (n, q, q); each ``hess`` row must be symmetric. ``bounds`` is an
+    optional (q, 2) compact box used to generate and project candidates
+    for nonlinear fits. Instances are immutable; evaluation is pure.
     """
 
     name: str
     q: int
-    value: Callable[[np.ndarray, np.ndarray], float]
+    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    value_batch: Optional[Callable] = field(default=None, repr=False)
-    grad_batch: Optional[Callable] = field(default=None, repr=False)
     bounds: Optional[np.ndarray] = None
     certified_derivatives: bool = True
 
     def eval_batch(self, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        if self.value_batch is not None:
-            return np.asarray(self.value_batch(X, beta), dtype=float)
-        return np.array([self.value(x, beta) for x in X], dtype=float)
+        return np.asarray(self.value(X, beta), dtype=float).reshape(len(X))
 
     def grad_rows(self, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        if self.grad_batch is not None:
-            return np.asarray(self.grad_batch(X, beta), dtype=float).reshape(len(X), self.q)
-        if self.q == 0:
-            return np.zeros((len(X), 0))
-        return np.array([self.grad(x, beta) for x in X], dtype=float)
+        return np.asarray(self.grad(X, beta), dtype=float).reshape(len(X), self.q)
 
     def project(self, beta: np.ndarray) -> np.ndarray:
         """Clip beta into the bounds box (identity when unbounded)."""
@@ -137,11 +128,9 @@ def linear_model(p: int) -> RegressionModel:
     return RegressionModel(
         name="linear",
         q=p,
-        value=lambda x, beta: float(np.dot(beta, x)),
-        grad=lambda x, beta: np.asarray(x, dtype=float),
-        hess=lambda x, beta: np.zeros((p, p)),
-        value_batch=lambda X, beta: X @ beta,
-        grad_batch=lambda X, beta: np.asarray(X, dtype=float),
+        value=lambda X, beta: X @ beta,
+        grad=lambda X, beta: X,
+        hess=lambda X, beta: np.zeros((len(X), p, p)),
     )
 
 
@@ -150,11 +139,9 @@ def location_model() -> RegressionModel:
     return RegressionModel(
         name="location",
         q=0,
-        value=lambda x, beta: 0.0,
-        grad=lambda x, beta: np.zeros(0),
-        hess=lambda x, beta: np.zeros((0, 0)),
-        value_batch=lambda X, beta: np.zeros(len(X)),
-        grad_batch=lambda X, beta: np.zeros((len(X), 0)),
+        value=lambda X, beta: np.zeros(len(X)),
+        grad=lambda X, beta: np.zeros((len(X), 0)),
+        hess=lambda X, beta: np.zeros((len(X), 0, 0)),
     )
 
 
@@ -165,59 +152,59 @@ def exp_model(bounds: Sequence[Sequence[float]] = ((-100.0, 100.0), (-4.0, 4.0))
     candidate search cannot overflow.
     """
 
-    def value(x, beta):
-        return float(beta[0] * np.exp(beta[1] * x[0]))
-
-    def grad(x, beta):
-        e = np.exp(beta[1] * x[0])
-        return np.array([e, beta[0] * x[0] * e])
-
-    def hess(x, beta):
-        e = np.exp(beta[1] * x[0])
-        xe = x[0] * e
-        return np.array([[0.0, xe], [xe, beta[0] * x[0] * xe]])
-
-    def value_batch(X, beta):
+    def value(X, beta):
         return beta[0] * np.exp(beta[1] * X[:, 0])
 
-    def grad_batch(X, beta):
+    def grad(X, beta):
         e = np.exp(beta[1] * X[:, 0])
         return np.column_stack([e, beta[0] * X[:, 0] * e])
 
+    def hess(X, beta):
+        x = X[:, 0]
+        xe = x * np.exp(beta[1] * x)
+        H = np.zeros((len(X), 2, 2))
+        H[:, 0, 1] = H[:, 1, 0] = xe
+        H[:, 1, 1] = beta[0] * x * xe
+        return H
+
     return RegressionModel(name="exp", q=2, value=value, grad=grad, hess=hess,
-                           value_batch=value_batch, grad_batch=grad_batch,
                            bounds=np.asarray(bounds, dtype=float))
 
 
 def fd_model(name: str, q: int, value, bounds=None, h: float = 1e-6) -> RegressionModel:
-    """Wrap a mean function whose derivatives are not available.
+    """Wrap a per-row mean function ``value(x, beta) -> float`` whose
+    derivatives are not available.
 
-    Gradient and Hessian come from central differences, which is fine for
-    fitting but degrades the accuracy of the expected-Jacobian matrix, so
-    the model is marked as not certified for inference.
+    Gradient and Hessian come from central differences over the whole
+    design, which is fine for fitting but degrades the accuracy of the
+    expected-Jacobian matrix, so the model is marked as not certified for
+    inference.
     """
     if q < 1:
         raise ValueError("fd_model needs at least one coefficient")
 
-    def grad(x, beta):
+    def value_rows(X, beta):
+        return np.array([value(x, beta) for x in X], dtype=float)
+
+    def central(fn, X, beta):
+        """Central differences of fn over the coefficients, stacked on
+        a new second axis."""
         beta = np.asarray(beta, dtype=float)
-        out = np.empty(q)
+        cols = []
         for j in range(q):
             e = np.zeros(q)
             e[j] = h
-            out[j] = (value(x, beta + e) - value(x, beta - e)) / (2.0 * h)
-        return out
+            cols.append((fn(X, beta + e) - fn(X, beta - e)) / (2.0 * h))
+        return np.stack(cols, axis=1)
 
-    def hess(x, beta):
-        beta = np.asarray(beta, dtype=float)
-        out = np.empty((q, q))
-        for j in range(q):
-            e = np.zeros(q)
-            e[j] = h
-            out[j] = (grad(x, beta + e) - grad(x, beta - e)) / (2.0 * h)
-        return 0.5 * (out + out.T)
+    def grad(X, beta):
+        return central(value_rows, X, beta)
 
-    return RegressionModel(name=name, q=q, value=value, grad=grad, hess=hess,
+    def hess(X, beta):
+        H = central(grad, X, beta)
+        return 0.5 * (H + H.transpose(0, 2, 1))
+
+    return RegressionModel(name=name, q=q, value=value_rows, grad=grad, hess=hess,
                            bounds=None if bounds is None else np.asarray(bounds, dtype=float),
                            certified_derivatives=False)
 
@@ -234,23 +221,18 @@ def residuals(d: Dataset, m: RegressionModel, xi: AugmentedParam) -> np.ndarray:
     return r
 
 
-def augmented_grad(m: RegressionModel, x: np.ndarray, xi: AugmentedParam) -> np.ndarray:
-    """Gradient of g(x, beta) + alpha in xi: (grad_beta g, 1)."""
-    return np.concatenate([m.grad(np.asarray(x, dtype=float), xi.beta), [1.0]])
-
-
-def augmented_hess(m: RegressionModel, x: np.ndarray, xi: AugmentedParam) -> np.ndarray:
-    """Hessian of g(x, beta) + alpha in xi: the beta block is hess g,
-    the alpha row and column are zero."""
-    H = np.zeros((m.q + 1, m.q + 1))
-    H[:m.q, :m.q] = m.hess(np.asarray(x, dtype=float), xi.beta)
-    return H
-
-
 def augmented_grad_rows(m: RegressionModel, X: np.ndarray, xi: AugmentedParam) -> np.ndarray:
-    """(n, q+1) matrix whose rows are the augmented gradients."""
+    """(n, q+1) gradients of g(x_i, beta) + alpha in xi: (grad_beta g, 1)."""
     G = m.grad_rows(X, xi.beta)
     return np.column_stack([G, np.ones(len(X))])
+
+
+def augmented_hess_rows(m: RegressionModel, X: np.ndarray, xi: AugmentedParam) -> np.ndarray:
+    """(n, q+1, q+1) Hessians of g(x_i, beta) + alpha in xi: the beta block
+    is hess g, the alpha row and column are zero."""
+    H = np.zeros((len(X), m.q + 1, m.q + 1))
+    H[:, :m.q, :m.q] = np.reshape(m.hess(X, xi.beta), (len(X), m.q, m.q))
+    return H
 
 
 @dataclass(frozen=True)

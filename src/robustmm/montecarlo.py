@@ -86,11 +86,6 @@ class ErrorLaw:
         return self.name != "bimodal-normal"
 
     @property
-    def center(self) -> float:
-        return self.shift if self.name == "bimodal-normal" else (
-            self.shift if self.name == "shifted-exponential" else 0.0)
-
-    @property
     def support(self) -> tuple:
         if self.name == "shifted-exponential":
             return (self.shift, np.inf)
@@ -562,22 +557,27 @@ class SimReport:
 # ---------------------------------------------------------------------------
 # replication engine
 
-def _worker_count() -> int:
+def _worker_count(n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` tasks: ROBUSTMM_THREADS (default 1,
+    0 meaning one per CPU) clamped to the CPU count and the task count.
+    Anything but a non-negative integer is a scenario input error."""
     raw = os.environ.get("ROBUSTMM_THREADS", "1")
     try:
         value = int(raw)
     except ValueError:
-        value = 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
+        value = -1
+    if value < 0:
+        raise ScenarioError(f"ROBUSTMM_THREADS must be a non-negative integer, got {raw!r}",
+                            key="ROBUSTMM_THREADS")
+    cpus = os.cpu_count() or 1
+    return max(1, min(value or cpus, cpus, n_tasks))
 
 
 def _parallel_map(fn, tasks):
     """Map preserving task order; parallel when ROBUSTMM_THREADS allows.
     Each task is independent and owns its substream, so scheduling cannot
     change any result."""
-    workers = _worker_count()
+    workers = _worker_count(len(tasks))
     if workers == 1 or len(tasks) < 4:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -64,20 +64,43 @@ def _loss_eval(rho0: RhoFunction):
     return rho0.rho
 
 
+#: a computed mean loss this far from delta decides the bisection steps
+#: it was not evaluated at; its rounding error is below 1e-14
+DECIDE_TOL = 1e-12
+
+
 def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float,
                    tol: float, max_iter: int,
                    lo_init: float | None = None,
                    hi_init: float | None = None) -> float:
     """Low-overhead scalar variant of the batch solver for hot loops.
 
-    Same bracket-then-bisect scheme and the same answer to within the
-    bisection tolerance; the caller guarantees finite residuals.
+    Same bracket-then-bisect scheme, and the same answer bit for bit, as
+    the plain bisection; the caller guarantees finite residuals. The mean
+    loss does not increase with sigma, so a point where it exceeds delta
+    by more than DECIDE_TOL decides every smaller midpoint, and one where
+    it falls short by as much decides every larger one. Midpoints are
+    evaluated only when no such point decides them.
     """
     a = np.abs(np.asarray(r, dtype=float))
     if (a == 0.0).mean() >= 1.0 - delta:
         return 0.0
     loss = _loss_eval(rho0)
     k = rho0.k
+    n = a.size
+    t = np.empty_like(a)
+    below, above = -np.inf, np.inf  # sigmas known to lie below / above the root
+
+    def gap(s):
+        # mean rho0(a / s) - delta; add.reduce / n is what ndarray.mean
+        # computes, without its per-call overhead
+        nonlocal below, above
+        g = float(np.add.reduce(loss(np.divide(a, s, out=t)))) / n - delta
+        if g > DECIDE_TOL:
+            below = max(below, s)
+        elif g < -DECIDE_TOL:
+            above = min(above, s)
+        return g
 
     if lo_init is None:
         med = float(np.median(a))
@@ -87,18 +110,47 @@ def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float,
     hi = float(a.max() * k * 10.0) if hi_init is None else float(hi_init)
 
     for _ in range(max_iter):
-        if float(loss(a / lo).mean()) >= delta:
+        g_lo = gap(lo)
+        if g_lo >= 0.0:
             break
         lo *= 0.5
     for _ in range(max_iter):
-        if float(loss(a / hi).mean()) <= delta:
+        g_hi = gap(hi)
+        if g_hi <= 0.0:
             break
         hi *= 2.0
+
+    # locate the root by a few regula falsi steps (Illinois variant)
+    x0, g0, x1, g1, side = lo, g_lo, hi, g_hi, 0
+    for _ in range(12):
+        if above - below <= tol * below:
+            break
+        x = x1 - g1 * (x1 - x0) / (g1 - g0) if g0 > g1 else x0
+        if not x0 < x < x1:
+            x = 0.5 * (x0 + x1)
+        g = gap(x)
+        if abs(g) <= DECIDE_TOL:
+            # x is too close to the root to decide anything: probe
+            # either side of it instead
+            gap(x * (1.0 - 0.25 * tol))
+            gap(x * (1.0 + 0.25 * tol))
+            break
+        if g > 0.0:
+            x0, g0 = x, g
+            if side > 0:
+                g1 *= 0.5
+            side = 1
+        else:
+            x1, g1 = x, g
+            if side < 0:
+                g0 *= 0.5
+            side = -1
+
     for _ in range(max_iter):
         if hi - lo <= tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if float(loss(a / mid).mean()) >= delta:
+        if mid <= below or (mid < above and gap(mid) >= 0.0):
             lo = mid
         else:
             hi = mid

@@ -221,6 +221,7 @@ def test_c6_grid_oracle_equivalence():
            f"10 instances ({tried} screened)")
 
 
+@pytest.mark.slow
 def test_c7_consistency_shadow():
     t0 = time.time()
     details = []
@@ -236,6 +237,7 @@ def test_c7_consistency_shadow():
     report("C7 consistency shadow", t0, 600.0, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_c8_normality_shadow():
     t0 = time.time()
     details = []
@@ -252,6 +254,7 @@ def test_c8_normality_shadow():
     report("C8 normality shadow", t0, 600.0, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_c9_expansion_shadow():
     t0 = time.time()
     details = []

@@ -4,6 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from robustmm import Dataset, FitConfig, fit, linear_model
 from robustmm.cli import main
 
 
@@ -123,6 +124,35 @@ class TestFit:
         assert report["std_errors"] is None
 
 
+    def test_s_iteration_cap_reported(self, tmp_path):
+        # the 27th instance of acceptance criterion C3: its chosen S
+        # candidate stops at the 200-iteration refinement cap
+        rng = np.random.default_rng(303)
+        for i in range(27):
+            p = int(rng.integers(1, 4))
+            n = int(rng.integers(10 * p + 30, 200))
+            X = rng.normal(size=(n, p))
+            beta = rng.uniform(-3, 3, size=p)
+            alpha = float(rng.uniform(-2, 2))
+            noise = rng.standard_t(df=3, size=n) if i % 3 == 0 else rng.normal(size=n)
+        y = X @ beta + alpha + noise
+        assert (p, n) == (1, 144)
+
+        res = fit(Dataset(x=X, y=y), linear_model(1), FitConfig(n_subsamples=50, seed=1026))
+        assert res.converged_s is False
+        assert res.converged_mm is True
+
+        lines = ["y,x1"] + [f"{float(y[k])!r},{float(X[k, 0])!r}" for k in range(n)]
+        f = tmp_path / "capped.csv"
+        f.write_text("\n".join(lines))
+        out = tmp_path / "r.json"
+        assert main(["fit", "--input", str(f), "--y-col", "y", "--seed", "1026",
+                     "--n-subsamples", "50", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["converged"] == {"s": False, "mm": True}
+        assert report["beta_s"] == res.xi_s.beta.tolist()
+
+
 class TestSimulate:
     def test_contamination_smoke_passes(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -159,6 +189,23 @@ class TestSimulate:
                        "beta0 = 1.0\nsizes = 50\nreplications = 0\n")
         assert main(["simulate", "--scenario", str(bad)]) == 3
         assert "replications" in capsys.readouterr().err
+
+    def test_runtime_scenario_error_exit_3(self, tmp_path, capsys):
+        # parses, but the consistency run itself rejects two sizes
+        bad = tmp_path / "two-sizes.cfg"
+        bad.write_text("kind = consistency\nmodel = linear\np = 1\nbeta0 = 1.0\n"
+                       "sizes = 100, 400\nreplications = 2\n")
+        assert main(["simulate", "--scenario", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: input: consistency runs need at least 3 sizes "
+                       "(key: sizes)\n")
+
+    def test_bad_thread_count_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ROBUSTMM_THREADS", "lots")
+        code = main(["simulate", "--scenario", str(scenario_path("contamination-smoke.cfg")),
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 3
+        assert "(key: ROBUSTMM_THREADS)" in capsys.readouterr().err
 
     def test_missing_scenario_exit_3(self):
         assert main(["simulate", "--scenario", "/nope.cfg"]) == 3

@@ -187,9 +187,9 @@ class TestInfluence:
         m = linear_model(1)
         beta = np.array([1.0])
         # MM residual zero and the scale row exactly at its target
-        y = float(m.value(np.array([0.3]), beta) + c.alpha01)
+        y = float(m.value(np.array([[0.3]]), beta)[0] + c.alpha01)
         got = influence_mm(np.array([0.3]), y, m, beta, c)
-        t_s = (y - m.value(np.array([0.3]), beta) - c.alpha00) / c.sigma0
+        t_s = (y - m.value(np.array([[0.3]]), beta)[0] - c.alpha00) / c.sigma0
         if abs(RHO0.rho(t_s) - 0.5) < 1e-12:
             assert np.allclose(got, 0.0, atol=1e-12)
         else:
@@ -210,9 +210,9 @@ class TestInfluence:
         x = rng.normal(size=2)
         y = float(rng.normal())
         got = influence_mm(x, y, m, beta, c)
-        t = (y - m.value(x, beta)) / c.sigma0
+        t = (y - m.value(x[None], beta)[0]) / c.sigma0
         lead = c.sigma0 / c.a01 * RHO1.psi(t)
-        want_beta = lead * np.linalg.solve(c.A0, m.grad(x, beta) - c.b0)
+        want_beta = lead * np.linalg.solve(c.A0, m.grad(x[None], beta)[0] - c.b0)
         assert np.allclose(got[:-1], want_beta, rtol=1e-10)
 
     def test_location_matches_generic(self):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from robustmm import (AugmentedParam, Dataset, check_identifiability,
-                      exp_model, linear_model, load_csv, location_model,
-                      residuals)
+from robustmm import (AugmentedParam, Dataset, FitConfig, asymptotic_cov,
+                      check_identifiability, exp_model, fd_model, fit,
+                      linear_model, load_csv, location_model, residuals)
 from robustmm.exceptions import DomainError
-from robustmm.model import augmented_grad, augmented_grad_rows, augmented_hess
+from robustmm.model import augmented_grad_rows, augmented_hess_rows
 
 
 def fd_grad(fn, v, h=1e-6):
@@ -21,19 +21,19 @@ def fd_grad(fn, v, h=1e-6):
 class TestLinearModel:
     def test_eval_grad_hess(self):
         m = linear_model(2)
-        x = np.array([1.0, 2.0])
+        X = np.array([[1.0, 2.0]])
         beta = np.array([3.0, 4.0])
-        assert m.value(x, beta) == 11.0
-        assert np.array_equal(m.grad(x, beta), x)
-        assert np.array_equal(m.hess(x, beta), np.zeros((2, 2)))
+        assert m.value(X, beta)[0] == 11.0
+        assert np.array_equal(m.grad(X, beta)[0], X[0])
+        assert np.array_equal(m.hess(X, beta)[0], np.zeros((2, 2)))
 
     def test_grad_matches_fd(self):
         m = linear_model(3)
         rng = np.random.default_rng(0)
-        x = rng.normal(size=3)
+        X = rng.normal(size=3)[None]
         beta = rng.normal(size=3)
-        got = m.grad(x, beta)
-        want = fd_grad(lambda b: m.value(x, b), beta)
+        got = m.grad(X, beta)[0]
+        want = fd_grad(lambda b: m.value(X, b)[0], beta)
         assert np.allclose(got, want, rtol=1e-5)
 
     def test_p_validated(self):
@@ -44,28 +44,28 @@ class TestLinearModel:
 class TestExpModel:
     def test_flat_exponent(self):
         m = exp_model()
-        assert m.value(np.array([1.3]), np.array([1.0, 0.0])) == 1.0
+        assert m.value(np.array([[1.3]]), np.array([1.0, 0.0]))[0] == 1.0
 
     def test_substitution(self):
         m = exp_model()
-        x = np.array([0.0])
+        X = np.array([[0.0]])
         beta = np.array([2.0, 0.5])
-        assert m.value(x, beta) == 2.0
-        assert np.allclose(m.grad(x, beta), [1.0, 0.0])
+        assert m.value(X, beta)[0] == 2.0
+        assert np.allclose(m.grad(X, beta)[0], [1.0, 0.0])
 
     def test_derivatives_match_fd(self):
         m = exp_model()
         rng = np.random.default_rng(1)
         for _ in range(10):
-            x = rng.uniform(-1, 2, size=1)
+            X = rng.uniform(-1, 2, size=1)[None]
             beta = rng.uniform([-3, -1], [3, 1])
-            g = m.grad(x, beta)
-            g_fd = fd_grad(lambda b: m.value(x, b), beta)
+            g = m.grad(X, beta)[0]
+            g_fd = fd_grad(lambda b: m.value(X, b)[0], beta)
             assert np.allclose(g, g_fd, rtol=1e-5, atol=1e-8)
-            H = m.hess(x, beta)
+            H = m.hess(X, beta)[0]
             assert np.allclose(H, H.T, atol=1e-10)
             for j in range(2):
-                col_fd = fd_grad(lambda b: m.grad(x, b)[j], beta)
+                col_fd = fd_grad(lambda b: m.grad(X, b)[0, j], beta)
                 assert np.allclose(H[j], col_fd, rtol=1e-4, atol=1e-7)
 
     def test_batch_agrees_with_rows(self):
@@ -74,9 +74,9 @@ class TestExpModel:
         X = rng.uniform(-1, 1, size=(15, 1))
         beta = np.array([1.5, 0.7])
         assert np.allclose(m.eval_batch(X, beta),
-                           [m.value(x, beta) for x in X])
+                           [m.value(x[None], beta)[0] for x in X])
         assert np.allclose(m.grad_rows(X, beta),
-                           [m.grad(x, beta) for x in X])
+                           [m.grad(x[None], beta)[0] for x in X])
 
 
 class TestResiduals:
@@ -105,7 +105,7 @@ class TestResiduals:
         d = Dataset(x=X, y=y)
         m = linear_model(2)
         xi = AugmentedParam(beta=[0.7, -0.2], alpha=0.1)
-        want = np.array([y[i] - m.value(X[i], xi.beta) - xi.alpha for i in range(12)])
+        want = np.array([y[i] - m.value(X[i:i + 1], xi.beta)[0] - xi.alpha for i in range(12)])
         assert np.allclose(residuals(d, m, xi), want, rtol=1e-14, atol=1e-15)
 
     def test_regression_equivariance(self):
@@ -124,27 +124,27 @@ class TestResiduals:
 class TestAugmented:
     def test_linear_augmented(self):
         m = linear_model(2)
-        x = np.array([3.0, -1.0])
+        X = np.array([[3.0, -1.0]])
         xi = AugmentedParam(beta=[1.0, 1.0], alpha=0.0)
-        assert np.array_equal(augmented_grad(m, x, xi), [3.0, -1.0, 1.0])
-        assert np.array_equal(augmented_hess(m, x, xi), np.zeros((3, 3)))
+        assert np.array_equal(augmented_grad_rows(m, X, xi)[0], [3.0, -1.0, 1.0])
+        assert np.array_equal(augmented_hess_rows(m, X, xi)[0], np.zeros((3, 3)))
 
     def test_alpha_component_is_one(self):
         m = exp_model()
         xi = AugmentedParam(beta=[2.0, 0.3], alpha=5.0)
-        g = augmented_grad(m, np.array([0.7]), xi)
+        g = augmented_grad_rows(m, np.array([[0.7]]), xi)[0]
         assert g[-1] == 1.0
 
     def test_fd_consistency(self):
         m = exp_model()
         rng = np.random.default_rng(7)
-        x = rng.uniform(-1, 1, size=1)
+        X = rng.uniform(-1, 1, size=1)[None]
         xi = AugmentedParam(beta=[1.2, -0.4], alpha=0.3)
 
         def gbar(v):
-            return m.value(x, v[:2]) + v[2]
+            return m.value(X, v[:2])[0] + v[2]
 
-        got = augmented_grad(m, x, xi)
+        got = augmented_grad_rows(m, X, xi)[0]
         want = fd_grad(gbar, xi.as_array())
         assert np.allclose(got, want, rtol=1e-5, atol=1e-8)
 
@@ -158,26 +158,77 @@ class TestAugmented:
         assert np.array_equal(J[:, 2], np.ones(4))
 
 
+def exp_row(x, beta):
+    """Per-row form of the exp mean function, as a user would write it."""
+    return float(beta[0] * np.exp(beta[1] * x[0]))
+
+
+#: name -> (factory, p, beta, tolerance of the Hessian against central
+#: differences of the gradient); the finite-difference model's Hessian is
+#: itself a difference of differences, good to about 1e-4
+MODELS = {
+    "linear": (lambda: linear_model(3), 3, np.array([0.4, -1.1, 2.0]), 1e-6),
+    "location": (location_model, 0, np.zeros(0), 1e-6),
+    "exp": (exp_model, 1, np.array([1.4, -0.6]), 1e-6),
+    "fd-exp": (lambda: fd_model("exp-fd", 2, exp_row), 1, np.array([1.4, -0.6]), 1e-3),
+}
+
+
+class TestBatchContract:
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_shapes_and_symmetry(self, name):
+        make, p, beta, _ = MODELS[name]
+        m = make()
+        X = np.random.default_rng(30).uniform(-1, 1, size=(7, p))
+        assert m.value(X, beta).shape == (7,)
+        assert m.grad(X, beta).shape == (7, m.q)
+        H = m.hess(X, beta)
+        assert H.shape == (7, m.q, m.q)
+        assert np.array_equal(H, H.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_hess_matches_fd_of_grad(self, name):
+        make, p, beta, tol = MODELS[name]
+        m = make()
+        X = np.random.default_rng(31).uniform(-1, 1, size=(7, p))
+        H = m.hess(X, beta)
+        h = 1e-5
+        for j in range(m.q):
+            e = np.zeros(m.q)
+            e[j] = h
+            col_fd = (m.grad(X, beta + e) - m.grad(X, beta - e)) / (2.0 * h)
+            assert np.allclose(H[:, j], col_fd, rtol=tol, atol=tol)
+
+
 class TestFdModel:
     def test_matches_analytic_derivatives(self):
-        from robustmm import fd_model
         ref = exp_model()
-        m = fd_model("exp-fd", 2, ref.value)
+        m = fd_model("exp-fd", 2, exp_row)
         rng = np.random.default_rng(10)
-        x = rng.uniform(-1, 1, size=1)
+        X = rng.uniform(-1, 1, size=1)[None]
         beta = np.array([1.4, -0.6])
-        assert np.allclose(m.grad(x, beta), ref.grad(x, beta), rtol=1e-5, atol=1e-8)
-        assert np.allclose(m.hess(x, beta), ref.hess(x, beta), rtol=1e-3, atol=1e-4)
+        assert np.allclose(m.grad(X, beta), ref.grad(X, beta), rtol=1e-5, atol=1e-8)
+        assert np.allclose(m.hess(X, beta), ref.hess(X, beta), rtol=1e-3, atol=1e-4)
         assert not m.certified_derivatives
 
+    @pytest.mark.parametrize("label", ["linear", "location"])
+    def test_name_does_not_change_fit(self, label):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0.0, 2.0, size=(60, 1))
+        y = 1.5 * np.exp(0.7 * X[:, 0]) + 0.5 + 0.2 * rng.normal(size=60)
+        d = Dataset(x=X, y=y)
+        bounds = exp_model().bounds
+        cfg = FitConfig(n_subsamples=30, seed=4)
+        want = fit(d, fd_model("exp-fd", 2, exp_row, bounds=bounds), cfg)
+        got = fit(d, fd_model(label, 2, exp_row, bounds=bounds), cfg)
+        assert np.array_equal(got.theta_vector(), want.theta_vector())
+
     def test_inference_warns(self):
-        from robustmm import FitConfig, asymptotic_cov, fd_model, fit
         rng = np.random.default_rng(11)
         X = rng.normal(size=(60, 1))
         y = 2.0 * X[:, 0] + 0.5 + 0.5 * rng.normal(size=60)
         d = Dataset(x=X, y=y)
-        lin = linear_model(1)
-        m = fd_model("linear-fd", 1, lin.value, bounds=[(-10.0, 10.0)])
+        m = fd_model("linear-fd", 1, lambda x, b: float(x @ b), bounds=[(-10.0, 10.0)])
         cfg = FitConfig(n_subsamples=40, seed=2)
         res = fit(d, m, cfg)
         with pytest.warns(UserWarning, match="not certified"):

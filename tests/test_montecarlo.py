@@ -4,6 +4,7 @@ from scipy import integrate
 
 from robustmm import bisquare, k_for_breakdown
 from robustmm.exceptions import ScenarioError
+from robustmm import montecarlo
 from robustmm.montecarlo import (SimScenario, load_scenario, make_error_law,
                                  population_centers, population_constants,
                                  run_consistency, run_contamination,
@@ -227,3 +228,34 @@ class TestRunners:
     def test_run_scenario_dispatch(self):
         rep = run_scenario(SimScenario(**SMALL))
         assert rep.kind == "consistency"
+
+
+class TestWorkerCount:
+    """Worker-count resolution only; no pool is started."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+
+    @pytest.mark.parametrize("raw, tasks, want", [
+        (None, 100, 1), ("1", 100, 1), ("2", 100, 2), ("0", 100, 4),
+        ("64", 100, 4), ("1000000", 100, 4), ("3", 2, 2), ("0", 3, 3),
+        (" 2 ", 100, 2)])
+    def test_clamped(self, monkeypatch, raw, tasks, want):
+        if raw is None:
+            monkeypatch.delenv("ROBUSTMM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ROBUSTMM_THREADS", raw)
+        assert montecarlo._worker_count(tasks) == want
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        monkeypatch.setenv("ROBUSTMM_THREADS", "0")
+        assert montecarlo._worker_count(100) == 1
+
+    @pytest.mark.parametrize("raw", ["two", "", "1.5", "-1", "-64"])
+    def test_invalid_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("ROBUSTMM_THREADS", raw)
+        with pytest.raises(ScenarioError) as err:
+            montecarlo._worker_count(100)
+        assert err.value.key == "ROBUSTMM_THREADS"

@@ -1,8 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from robustmm import MScaleConfig, bisquare, mscale, mscale_objective
 from robustmm.exceptions import DomainError
+
+mscale_module = importlib.import_module("robustmm.mscale")
 
 RHO = bisquare(1.547)
 CFG = MScaleConfig(delta=0.5)
@@ -118,6 +122,110 @@ class TestMScale:
             cfg = MScaleConfig(delta=delta)
             s = mscale(r, RHO, cfg)
             assert abs(mscale_objective(r, RHO, s) - delta) <= 1e-10
+
+
+def plain_bisection(r, rho0, delta, tol, max_iter, lo=None, hi=None):
+    """The bracket-then-bisect scheme of the scalar solver, evaluating
+    every midpoint."""
+    a = np.abs(r)
+    if lo is None:
+        med = float(np.median(a))
+        lo = (med if med > 0.0 else float(a[a > 0.0].min())) / rho0.k
+    if hi is None:
+        hi = float(a.max() * rho0.k * 10.0)
+    for _ in range(max_iter):
+        if float(rho0.rho(a / lo).mean()) >= delta:
+            break
+        lo *= 0.5
+    for _ in range(max_iter):
+        if float(rho0.rho(a / hi).mean()) <= delta:
+            break
+        hi *= 2.0
+    for _ in range(max_iter):
+        if hi - lo <= tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if float(rho0.rho(a / mid).mean()) >= delta:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestScalarSolver:
+    """The hot-loop solver used by the S refinement: it skips the
+    bisection midpoints that earlier evaluations decide, so it must give
+    plain bisection's answer bit for bit with fewer loss evaluations."""
+
+    TOL = 1e-10
+
+    def _cases(self):
+        rng = np.random.default_rng(31)
+        for i in range(40):
+            n = int(rng.integers(5, 400))
+            r = rng.standard_t(df=2, size=n) if i % 2 else rng.normal(size=n)
+            if i % 5 == 0:
+                r[: n // 3] = 0.0
+            yield r * rng.uniform(1e-3, 1e3)
+
+    def test_same_answer_as_plain_bisection(self):
+        rng = np.random.default_rng(41)
+        for i, r in enumerate(self._cases()):
+            if i % 4 == 3:
+                r = np.round(r, 1)  # ties
+            root = bisect_oracle(r, RHO, 0.5)
+            for tol in (1e-12, 1e-10, 1e-8, 1e-4):
+                assert mscale_module._mscale_scalar(r, RHO, 0.5, tol, 200) == \
+                    plain_bisection(r, RHO, 0.5, tol, 200)
+                lo, hi = root * rng.uniform(0.1, 1.2), root * rng.uniform(0.9, 3.0)
+                assert mscale_module._mscale_scalar(r, RHO, 0.5, tol, 200,
+                                                    lo_init=lo, hi_init=hi) == \
+                    plain_bisection(r, RHO, 0.5, tol, 200, lo=lo, hi=hi)
+
+    def test_cold_bracket_matches_oracle(self):
+        for r in self._cases():
+            root = bisect_oracle(r, RHO, 0.5)
+            s = mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200)
+            assert abs(s - root) <= self.TOL * root
+
+    def test_warm_brackets_match_oracle(self):
+        # the refinement passes [sigma / 4, gate]; also brackets that miss
+        # the root on either side and must be widened first
+        for r in self._cases():
+            root = bisect_oracle(r, RHO, 0.5)
+            for lo, hi in ((0.25 * root, root * (1 + 1e-9)),
+                           (0.25 * root * 1.001, root * 1.001),
+                           (2.0 * root, 3.0 * root),
+                           (0.1 * root, 0.5 * root)):
+                s = mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200,
+                                                 lo_init=lo, hi_init=hi)
+                assert abs(s - root) <= self.TOL * root
+
+    def test_degenerate_is_zero(self):
+        r = np.array([0.0, 0.0, 1.0, 2.0])
+        assert mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200) == 0.0
+
+    def test_fewer_loss_calls_than_bisection(self, monkeypatch):
+        # plain bisection needs about 33 calls to shrink [sigma / 4, sigma]
+        # to 1e-10 relative width
+        calls = []
+        factory = mscale_module._loss_eval
+
+        def counting(rho0):
+            loss = factory(rho0)
+
+            def ev(t):
+                calls.append(1)
+                return loss(t)
+            return ev
+
+        monkeypatch.setattr(mscale_module, "_loss_eval", counting)
+        rng = np.random.default_rng(37)
+        r = rng.normal(size=300)
+        root = bisect_oracle(r, RHO, 0.5)
+        mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200,
+                                     lo_init=0.25 * root, hi_init=root * (1 + 1e-9))
+        assert len(calls) <= 12
 
 
 class TestConfig:
