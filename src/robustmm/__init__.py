@@ -20,7 +20,7 @@ from .model import (AugmentedParam, Dataset, RegressionModel,
 from .montecarlo import (SimReport, SimScenario, load_scenario,
                          run_consistency, run_contamination,
                          run_expansion_check, run_normality, run_scenario)
-from .mscale import MScaleConfig, mscale, mscale_objective
+from .mscale import mscale, mscale_objective
 from .rho import (DEFAULT_DELTA, DEFAULT_K0, DEFAULT_K1, RhoFunction, bisquare,
                   custom_rho, k_for_breakdown, k_for_efficiency,
                   rho_from_config, verify_r1)
@@ -30,8 +30,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentedParam", "ConvergenceError", "Dataset", "DEFAULT_DELTA",
     "DEFAULT_K0", "DEFAULT_K1", "DomainError", "FitConfig", "FitError",
-    "FitResult", "InferenceConstants", "InferenceReport", "MScaleConfig",
-    "PsiSystem", "RegressionModel", "RhoFunction", "RobustmmError",
+    "FitResult", "InferenceConstants", "InferenceReport", "PsiSystem",
+    "RegressionModel", "RhoFunction", "RobustmmError",
     "ScenarioError", "SingularityError", "asymptotic_cov", "bisquare",
     "check_identifiability", "closed_form_c0_inv", "closed_form_d0",
     "closed_form_d0_inv", "custom_rho", "exp_model", "fd_model", "fit", "fit_location",

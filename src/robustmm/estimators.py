@@ -18,8 +18,8 @@ import numpy as np
 from .exceptions import ConvergenceError, DomainError, FitError
 from .model import (AugmentedParam, Dataset, RegressionModel,
                     augmented_grad_rows, location_model, residuals)
-from .mscale import (MScaleConfig, _loss_eval, _mscale_batch, _mscale_scalar,
-                     mscale, mscale_objective)
+from .mscale import (SCALE_MAX_ITER, SCALE_TOL, _loss_eval, _mscale_batch,
+                     _mscale_scalar, mscale, mscale_objective)
 from .rho import (DEFAULT_DELTA, DEFAULT_K0, DEFAULT_K1, RhoFunction,
                   bisquare, verify_r1)
 
@@ -28,12 +28,22 @@ __all__ = ["FitConfig", "FitResult", "fit", "fit_s", "fit_mm", "fit_location"]
 #: scale ties below this are broken by parameter norm, then candidate index
 TIE_TOL = 1e-12
 MAX_HALVINGS = 30
+#: scale-reweighted passes over all candidates before ranking them
+REFINE_STEPS = 2
+#: best-ranked candidates refined to full tolerance
+N_BEST = 5
+#: relative parameter step that ends a full S refinement or the MM stage
+IRWLS_TOL = 1e-10
+#: iteration cap of a full S refinement and of the MM stage
+IRWLS_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for the joint S/MM fit.
 
+    The search constants (REFINE_STEPS, N_BEST, IRWLS_TOL,
+    IRWLS_MAX_ITER) are fixed by the algorithm, not configured here.
     ``rho0`` drives the M-scale and the S stage; ``rho1`` drives the MM
     stage and must be pointwise below ``rho0`` (checked on a grid at
     construction). ``seed`` feeds a counter-based generator so candidate
@@ -44,20 +54,13 @@ class FitConfig:
     rho0: RhoFunction = field(default_factory=lambda: bisquare(DEFAULT_K0))
     rho1: RhoFunction = field(default_factory=lambda: bisquare(DEFAULT_K1))
     n_subsamples: int = 500
-    refine_steps: int = 2
-    n_best: int = 5
-    irwls_tol: float = 1e-10
-    irwls_max_iter: int = 200
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        for name in ("n_subsamples", "refine_steps", "n_best", "irwls_max_iter"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.irwls_tol <= 0.0:
-            raise ValueError("irwls_tol must be positive")
+        if self.n_subsamples < 1:
+            raise ValueError("n_subsamples must be positive")
         grid = np.linspace(0.0, max(self.rho0.k, self.rho1.k), 512)
         if np.any(self.rho1.rho(grid) > self.rho0.rho(grid) + 1e-12):
             raise ValueError("rho1 must be majorized by rho0 (rho1 <= rho0 pointwise)")
@@ -69,9 +72,6 @@ class FitConfig:
                 raise ValueError(f"{name} fails the loss shape conditions "
                                  "(log-concavity inside the tuning window, "
                                  "saturation at 1 outside)")
-
-    def mscale_config(self) -> MScaleConfig:
-        return MScaleConfig(delta=self.delta)
 
     def rng(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.seed))
@@ -194,7 +194,7 @@ def _quick_refine(d: Dataset, m: RegressionModel, XI: np.ndarray,
     only need enough accuracy to rank candidates."""
     refine_tol = 1e-8
     sigma = np.full(len(XI), np.inf)
-    for _ in range(cfg.refine_steps):
+    for _ in range(REFINE_STEPS):
         R = _residual_matrix(d, m, XI)
         sigma, _, _, status = _mscale_batch(R, cfg.rho0, cfg.delta, refine_tol, 150)
         if np.any(status == 1):          # exact fit found, nothing can beat it
@@ -215,15 +215,14 @@ def _refine_s_full(d: Dataset, m: RegressionModel, xi: np.ndarray,
     """Iterate scale-reweighted least squares until the parameter step
     falls below ``step_tol``, halving any step that would increase the
     scale."""
-    mcfg = cfg.mscale_config()
     loss = _loss_eval(cfg.rho0)
-    solve_tol = max(mcfg.tol, min(1e-8, step_tol))
+    solve_tol = max(SCALE_TOL, min(1e-8, step_tol))
     xi = xi.copy()
     r = residuals(d, m, AugmentedParam.from_array(xi))
-    sigma = _mscale_scalar(r, cfg.rho0, cfg.delta, solve_tol, mcfg.max_iter)
+    sigma = _mscale_scalar(r, cfg.rho0, cfg.delta, solve_tol, SCALE_MAX_ITER)
     if sigma == 0.0:
         return xi, 0.0, 0, True
-    for it in range(1, cfg.irwls_max_iter + 1):
+    for it in range(1, IRWLS_MAX_ITER + 1):
         w = cfg.rho0.weight(r / sigma)
         step = _wls_step(_jacobian(d, m, xi), w, r)
         if step is None:
@@ -244,7 +243,7 @@ def _refine_s_full(d: Dataset, m: RegressionModel, xi: np.ndarray,
         if not improved:
             return xi, sigma, it, True
         sigma_new = _mscale_scalar(r_trial, cfg.rho0, cfg.delta, solve_tol,
-                                   mcfg.max_iter, lo_init=0.25 * sigma,
+                                   SCALE_MAX_ITER, lo_init=0.25 * sigma,
                                    hi_init=gate)
         moved = np.linalg.norm(trial - xi)
         xi, sigma, r = trial, sigma_new, r_trial
@@ -252,7 +251,7 @@ def _refine_s_full(d: Dataset, m: RegressionModel, xi: np.ndarray,
             return xi, 0.0, it, True
         if moved <= step_tol * (1.0 + np.linalg.norm(xi)):
             return xi, sigma, it, True
-    return xi, sigma, cfg.irwls_max_iter, False
+    return xi, sigma, IRWLS_MAX_ITER, False
 
 
 def _pick_best(XI: np.ndarray, sigma: np.ndarray) -> int:
@@ -284,8 +283,8 @@ def _fit_s_stage(d: Dataset, m: RegressionModel, cfg: FitConfig):
     # two-phase refinement of the best candidates: a coarse pass over all
     # of them, deduplication of those that reached the same minimum, then
     # full-tolerance refinement of the distinct representatives
-    order = np.argsort(sigma, kind="stable")[:cfg.n_best]
-    coarse_tol = max(cfg.irwls_tol, 1e-4)
+    order = np.argsort(sigma, kind="stable")[:N_BEST]
+    coarse_tol = 1e-4
     coarse = []
     iters_total = 0
     for c in order:
@@ -308,7 +307,7 @@ def _fit_s_stage(d: Dataset, m: RegressionModel, cfg: FitConfig):
         if s_f == 0.0:
             refined.append((xi_f, s_f, True))
             continue
-        xi_r, s_r, its, conv = _refine_s_full(d, m, xi_f, cfg, cfg.irwls_tol)
+        xi_r, s_r, its, conv = _refine_s_full(d, m, xi_f, cfg, IRWLS_TOL)
         refined.append((xi_r, s_r, conv))
         iters_total += its
     XI_f = np.asarray([xi for xi, _, _ in refined])
@@ -321,7 +320,7 @@ def _fit_s_stage(d: Dataset, m: RegressionModel, cfg: FitConfig):
         sigma_hat = 0.0
     else:
         sigma_hat = mscale(residuals(d, m, AugmentedParam.from_array(xi_best)),
-                           cfg.rho0, cfg.mscale_config())
+                           cfg.rho0, cfg.delta)
     xi_s = AugmentedParam.from_array(xi_best)
     return xi_s, sigma_hat, len(cands), iters_total, exact, converged
 
@@ -352,7 +351,7 @@ def _fit_mm_stage(d: Dataset, m: RegressionModel, cfg: FitConfig, sigma: float,
     xi = start.as_array().copy()
     r = residuals(d, m, start)
     obj = _mm_objective(r, cfg.rho1, sigma)
-    for it in range(1, cfg.irwls_max_iter + 1):
+    for it in range(1, IRWLS_MAX_ITER + 1):
         w = cfg.rho1.weight(r / sigma)
         step = _wls_step(_jacobian(d, m, xi), w, r)
         if step is None:
@@ -370,10 +369,10 @@ def _fit_mm_stage(d: Dataset, m: RegressionModel, cfg: FitConfig, sigma: float,
             return AugmentedParam.from_array(xi), it, True
         moved = np.linalg.norm(trial - xi)
         xi, obj, r = trial, obj_new, r_trial
-        if moved <= cfg.irwls_tol * (1.0 + np.linalg.norm(xi)):
+        if moved <= IRWLS_TOL * (1.0 + np.linalg.norm(xi)):
             return AugmentedParam.from_array(xi), it, True
     raise ConvergenceError(
-        f"MM stage did not converge in {cfg.irwls_max_iter} iterations",
+        f"MM stage did not converge in {IRWLS_MAX_ITER} iterations",
         last=AugmentedParam.from_array(xi))
 
 
@@ -397,7 +396,8 @@ def fit(d: Dataset, m: RegressionModel, cfg: FitConfig) -> FitResult:
     An exact S fit (zero scale) short-circuits the MM stage: the MM
     solution is set to the S solution and the result is flagged.
     ``converged_s`` is False when the full-tolerance refinement of the
-    chosen S candidate stopped at ``irwls_max_iter``.
+    chosen S candidate stopped at IRWLS_MAX_ITER iterations; the MM
+    stage raises ConvergenceError at that cap.
     """
     xi_s, sigma, n_cands, iters_s, exact, conv_s = _fit_s_stage(d, m, cfg)
     if exact or sigma == 0.0:

@@ -302,23 +302,27 @@ def _t_values(x, y, m: RegressionModel, beta, c: InferenceConstants):
     return m.grad_rows(X, beta)[0], t_s, t_mm
 
 
-def influence_mm(x, y, m: RegressionModel, beta, c: InferenceConstants) -> np.ndarray:
-    """Influence of the MM coefficient-and-intercept block at one point.
-
-    The coefficient part is (sigma0/a01) psi1(t_MM) A0^{-1}(gdot - b0);
-    the intercept part adds the scale-route correction proportional to
-    e01 (rho0(t_S) - delta), which vanishes under symmetric errors.
-    """
-    c.require_regular()
-    gdot, t_s, t_mm = _t_values(x, y, m, beta, c)
-    lead = c.sigma0 / c.a01 * c.rho1.psi(t_mm)
-    scale_term = (c.sigma0 * c.e01 / (c.a01 * c.d0)) * (c.rho0.rho(t_s) - c.delta)
+def _influence_block(gdot, t_s, t_fit, psi, a, e, c: InferenceConstants) -> np.ndarray:
+    """Coefficient-and-intercept influence of an S or MM block: the
+    coefficient part is (sigma0/a) psi(t_fit) A0^{-1}(gdot - b0); the
+    intercept part adds the scale-route correction proportional to
+    e (rho0(t_S) - delta)."""
+    lead = c.sigma0 / a * psi(t_fit)
+    scale_term = (c.sigma0 * e / (a * c.d0)) * (c.rho0.rho(t_s) - c.delta)
     if c.q:
-        A_inv_g = np.linalg.solve(c.A0, gdot - c.b0)
-        beta_part = lead * A_inv_g
+        beta_part = lead * np.linalg.solve(c.A0, gdot - c.b0)
         alpha_part = lead * (1.0 + c.b0 @ np.linalg.solve(c.A0, c.b0 - gdot)) - scale_term
         return np.concatenate([beta_part, [alpha_part]])
     return np.array([lead - scale_term])
+
+
+def influence_mm(x, y, m: RegressionModel, beta, c: InferenceConstants) -> np.ndarray:
+    """Influence of the MM coefficient-and-intercept block at one point,
+    with the MM score psi1 and constants (a01, e01, alpha01). The scale
+    correction vanishes under symmetric errors."""
+    c.require_regular()
+    gdot, t_s, t_mm = _t_values(x, y, m, beta, c)
+    return _influence_block(gdot, t_s, t_mm, c.rho1.psi, c.a01, c.e01, c)
 
 
 def influence_s(x, y, m: RegressionModel, beta, c: InferenceConstants) -> np.ndarray:
@@ -326,13 +330,7 @@ def influence_s(x, y, m: RegressionModel, beta, c: InferenceConstants) -> np.nda
     score and constants (a00, e00, alpha00)."""
     c.require_regular()
     gdot, t_s, _ = _t_values(x, y, m, beta, c)
-    lead = c.sigma0 / c.a00 * c.rho0.psi(t_s)
-    scale_term = (c.sigma0 * c.e00 / (c.a00 * c.d0)) * (c.rho0.rho(t_s) - c.delta)
-    if c.q:
-        beta_part = lead * np.linalg.solve(c.A0, gdot - c.b0)
-        alpha_part = lead * (1.0 + c.b0 @ np.linalg.solve(c.A0, c.b0 - gdot)) - scale_term
-        return np.concatenate([beta_part, [alpha_part]])
-    return np.array([lead - scale_term])
+    return _influence_block(gdot, t_s, t_s, c.rho0.psi, c.a00, c.e00, c)
 
 
 def influence_scale(x, y, m: RegressionModel, beta, c: InferenceConstants) -> float:
@@ -353,12 +351,12 @@ def influence_full(x, y, m: RegressionModel, beta, c: InferenceConstants) -> np.
 
 def influence_location(y, c: InferenceConstants) -> float:
     """Location-case MM influence: (sigma0/a01) psi1((y - alpha01)/sigma0)
-    minus the scale-route correction at the S centering."""
+    minus the scale-route correction at the S centering; the intercept
+    entry of the MM block at a point whose gradient is b0."""
     c.require_regular()
     t_s = (y - c.alpha00) / c.sigma0
     t_mm = (y - c.alpha01) / c.sigma0
-    return float(c.sigma0 / c.a01 * c.rho1.psi(t_mm)
-                 - c.sigma0 * c.e01 / (c.a01 * c.d0) * (c.rho0.rho(t_s) - c.delta))
+    return float(_influence_block(c.b0, t_s, t_mm, c.rho1.psi, c.a01, c.e01, c)[-1])
 
 
 # ---------------------------------------------------------------------------

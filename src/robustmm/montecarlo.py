@@ -24,9 +24,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy import integrate, optimize
@@ -72,10 +72,18 @@ class ErrorLaw:
     outlier_scale: float = 10.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("error scale must be positive")
-        if self.name == "contaminated-normal" and not 0.0 <= self.eps < 1.0:
-            raise ValueError("contamination weight must lie in [0, 1)")
+        # the scenario key of each parameter is "error_" + its name
+        for name in ("scale", "shift", "eps", "outlier_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"error {name} must be finite",
+                                    key=f"error_{name}")
+        for name in ("scale", "outlier_scale"):
+            if getattr(self, name) <= 0.0:
+                raise ScenarioError(f"error {name} must be positive",
+                                    key=f"error_{name}")
+        if not 0.0 <= self.eps < 1.0:
+            raise ScenarioError("contamination weight must lie in [0, 1)",
+                                key="error_eps")
 
     @property
     def symmetric(self) -> bool:
@@ -323,19 +331,24 @@ _DEFAULT_THRESHOLDS = {
 @dataclass(frozen=True)
 class SimScenario:
     """Plain-data description of a simulation run; picklable so that
-    replications can be shipped to worker processes."""
+    replications can be shipped to worker processes.
+
+    The fields are the scenario file's keys, and their annotations are
+    the value types ``load_scenario`` parses: ``tuple[T, ...]`` is a
+    comma-separated list, and ``thresholds`` is written as dotted
+    ``threshold.*`` keys."""
 
     kind: str
     model: str = "linear"
     p: int = 1
-    beta0: tuple = (1.0,)
+    beta0: tuple[float, ...] = (1.0,)
     alpha0: float = 0.0
     errors: str = "normal"
     error_scale: float = 1.0
     error_shift: float = 0.0
     error_eps: float = 0.0
     error_outlier_scale: float = 10.0
-    sizes: tuple = (100, 400, 1600)
+    sizes: tuple[int, ...] = (100, 400, 1600)
     replications: int = 200
     seed: int = 0
     name: str = ""
@@ -343,12 +356,8 @@ class SimScenario:
     k0: float = 1.5476
     k1: float = 4.685
     n_subsamples: int = 30
-    refine_steps: int = 2
-    n_best: int = 5
-    irwls_tol: float = 1e-10
-    irwls_max_iter: int = 200
-    contamination_fractions: tuple = (0.1, 0.2, 0.3, 0.4)
-    outlier_magnitudes: tuple = (1e2, 1e4, 1e6)
+    contamination_fractions: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
+    outlier_magnitudes: tuple[float, ...] = (1e2, 1e4, 1e6)
     thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -372,8 +381,8 @@ class SimScenario:
         if self.kind in ("expansion", "normality") and self.model == "exp":
             raise ScenarioError(f"{self.kind} runs support location and linear "
                                 "models only", key="model")
-        make_error_law(self.errors)  # validates the name
-        if self.kind == "normality" and not self.error_law().symmetric:
+        law = self.error_law()
+        if self.kind == "normality" and not law.symmetric:
             raise ScenarioError("normality runs need a symmetric error law",
                                 key="errors")
         merged = dict(_DEFAULT_THRESHOLDS[self.kind])
@@ -400,9 +409,7 @@ class SimScenario:
     def fit_config(self, seed: int) -> FitConfig:
         return FitConfig(delta=self.delta, rho0=bisquare(self.k0),
                          rho1=bisquare(self.k1), n_subsamples=self.n_subsamples,
-                         refine_steps=self.refine_steps, n_best=self.n_best,
-                         irwls_tol=self.irwls_tol,
-                         irwls_max_iter=self.irwls_max_iter, seed=seed)
+                         seed=seed)
 
     @property
     def q(self) -> int:
@@ -426,33 +433,21 @@ class SimScenario:
                             "and linear models", key="model")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name, "kind": self.kind, "model": self.model,
-            "p": self.p, "beta0": list(self.beta0), "alpha0": self.alpha0,
-            "errors": self.errors, "error_scale": self.error_scale,
-            "error_shift": self.error_shift, "error_eps": self.error_eps,
-            "error_outlier_scale": self.error_outlier_scale,
-            "sizes": list(self.sizes), "replications": self.replications,
-            "seed": self.seed, "delta": self.delta, "k0": self.k0,
-            "k1": self.k1, "n_subsamples": self.n_subsamples,
-            "refine_steps": self.refine_steps, "n_best": self.n_best,
-            "irwls_tol": self.irwls_tol, "irwls_max_iter": self.irwls_max_iter,
-            "contamination_fractions": list(self.contamination_fractions),
-            "outlier_magnitudes": list(self.outlier_magnitudes),
-            "thresholds": dict(sorted(self.thresholds.items())),
-        }
+        """Every field by name: the keys a scenario file can set."""
+        return asdict(self)
 
 
-_SCENARIO_KEYS = {
-    "name": str, "kind": str, "model": str, "p": int, "alpha0": float,
-    "errors": str, "error_scale": float, "error_shift": float,
-    "error_eps": float, "error_outlier_scale": float, "replications": int,
-    "seed": int, "delta": float, "k0": float, "k1": float,
-    "n_subsamples": int, "refine_steps": int, "n_best": int,
-    "irwls_tol": float, "irwls_max_iter": int,
-}
-_LIST_KEYS = {"beta0": float, "sizes": int,
-              "contamination_fractions": float, "outlier_magnitudes": float}
+#: scenario key -> value type, from SimScenario's annotations; the
+#: thresholds dict is written as dotted keys instead
+_KEY_TYPES = {name: hint for name, hint in get_type_hints(SimScenario).items()
+              if hint is not dict}
+
+
+def _parse_value(hint, value: str):
+    if get_origin(hint) is tuple:
+        conv = get_args(hint)[0]
+        return tuple(conv(tok.strip()) for tok in value.split(",") if tok.strip() != "")
+    return hint(value)
 
 
 def load_scenario(path) -> SimScenario:
@@ -460,11 +455,12 @@ def load_scenario(path) -> SimScenario:
 
     Lines are ``key = value``; '#' starts a comment; list values are
     comma separated; threshold overrides use dotted keys such as
-    ``threshold.ratio_lo``. Unknown or ill-typed keys are reported with
-    their name.
+    ``threshold.ratio_lo``. Unknown, repeated or ill-typed keys are
+    reported with their name.
     """
     fields = {}
     thresholds = {}
+    seen = set()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -473,15 +469,14 @@ def load_scenario(path) -> SimScenario:
             raise ScenarioError(f"line {lineno}: expected 'key = value'", key=line)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in seen:
+            raise ScenarioError(f"line {lineno}: repeated key {key!r}", key=key)
+        seen.add(key)
         try:
             if key.startswith("threshold."):
                 thresholds[key[len("threshold."):]] = float(value)
-            elif key in _LIST_KEYS:
-                conv = _LIST_KEYS[key]
-                fields[key] = tuple(conv(tok.strip()) for tok in value.split(",")
-                                    if tok.strip() != "")
-            elif key in _SCENARIO_KEYS:
-                fields[key] = _SCENARIO_KEYS[key](value)
+            elif key in _KEY_TYPES:
+                fields[key] = _parse_value(_KEY_TYPES[key], value)
             else:
                 raise ScenarioError(f"unknown scenario key {key!r}", key=key)
         except (ValueError, TypeError) as exc:

@@ -8,32 +8,19 @@ certificate |mean rho0(r/sigma) - delta| <= 1e-10 when positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
 from .rho import DEFAULT_DELTA, RhoFunction
 
-__all__ = ["MScaleConfig", "mscale", "mscale_objective"]
+__all__ = ["mscale", "mscale_objective"]
 
 #: absolute tolerance of the root certificate on the objective
 CERT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MScaleConfig:
-    delta: float = DEFAULT_DELTA
-    tol: float = 1e-12  # relative tolerance on sigma
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+#: relative tolerance on sigma of the public solve
+SCALE_TOL = 1e-12
+#: cap on bracket expansions and on bisection steps
+SCALE_MAX_ITER = 200
 
 
 def mscale_objective(residuals, rho0: RhoFunction, sigma: float) -> float:
@@ -163,10 +150,13 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
 
     Returns (sigma, lo, hi, status) arrays; status 0 = root certified,
     1 = degenerate zero-residual row (sigma = 0), 2 = not converged.
-    Rows are solved independently, so batched and one-row-at-a-time
-    calls produce identical results. ``lo_init``/``hi_init`` are warm
-    bracket guesses; they are expanded whenever they do not straddle the
-    root, so a bad guess costs iterations, never correctness.
+    Every row keeps bisecting until all rows meet ``tol``, so a row's
+    sigma depends on the other rows of the batch: it stays inside the
+    bracket of its one-row solve, within ``tol`` relative of that answer,
+    but is not equal to it bit for bit. A one-row call gives the same
+    sigma as ``_mscale_scalar`` bit for bit. ``lo_init``/``hi_init`` are
+    warm bracket guesses; they are expanded whenever they do not straddle
+    the root, so a bad guess costs iterations, never correctness.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[1] == 0:
@@ -236,16 +226,17 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
     return sigma, lo, hi, status
 
 
-def mscale(residuals, rho0: RhoFunction, cfg: MScaleConfig | None = None,
-           return_bracket: bool = False):
-    """Solve mean rho0(r_i / sigma) = delta for sigma >= 0.
+def mscale(residuals, rho0: RhoFunction, delta: float = DEFAULT_DELTA) -> float:
+    """Solve mean rho0(r_i / sigma) = delta for sigma >= 0, to relative
+    tolerance SCALE_TOL.
 
     Returns 0 when the fraction of exactly-zero residuals reaches
     1 - delta, in which case the equation has no positive root and the
     caller should treat the input as an exact fit. Deterministic: the
     same inputs always produce the same bracket sequence and root.
     """
-    cfg = cfg or MScaleConfig()
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     r = np.asarray(residuals, dtype=float)
     if r.ndim != 1:
         r = r.reshape(-1)
@@ -254,12 +245,10 @@ def mscale(residuals, rho0: RhoFunction, cfg: MScaleConfig | None = None,
     if not np.all(np.isfinite(r)):
         raise DomainError("residuals must be finite")
 
-    sigma, lo, hi, status = _mscale_batch(r[None, :], rho0, cfg.delta,
-                                          cfg.tol, cfg.max_iter)
+    sigma, lo, hi, status = _mscale_batch(r[None, :], rho0, delta,
+                                          SCALE_TOL, SCALE_MAX_ITER)
     if status[0] == 2:
         raise ConvergenceError(
-            f"M-scale bisection did not certify a root within {cfg.max_iter} iterations",
+            f"M-scale bisection did not certify a root within {SCALE_MAX_ITER} iterations",
             bracket=(float(lo[0]), float(hi[0])))
-    if return_bracket:
-        return float(sigma[0]), (float(lo[0]), float(hi[0]))
     return float(sigma[0])

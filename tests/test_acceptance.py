@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from robustmm import (Dataset, FitConfig, InferenceConstants, MScaleConfig,
+from robustmm import (Dataset, FitConfig, InferenceConstants,
                       PsiSystem, bisquare, fit, linear_model, location_model,
                       mscale, mscale_objective, verify_r1)
 from robustmm.cli import main as cli_main
@@ -52,14 +52,13 @@ def test_c1_mscale_certificate():
             r = rng.normal(size=n)
             r[: n // 3] = 0.0
         delta = (0.25, 0.5, 0.75)[i % 3]
-        cfg = MScaleConfig(delta=delta)
-        s = mscale(r, RHO0, cfg)
+        s = mscale(r, RHO0, delta)
         if s > 0.0:
             positive += 1
             worst_cert = max(worst_cert, abs(mscale_objective(r, RHO0, s) - delta))
             if i % 3 == 0:
                 c = float(rng.uniform(1e-3, 1e3))
-                s_c = mscale(c * r, RHO0, cfg)
+                s_c = mscale(c * r, RHO0, delta)
                 worst_equiv = max(worst_equiv, abs(s_c - c * s) / (c * s))
     assert worst_cert <= 1e-10
     assert worst_equiv <= 1e-12

@@ -190,6 +190,23 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(bad)]) == 3
         assert "replications" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines,key", [
+        ("error_scale = -1\n", "error_scale"),
+        ("error_scale = nan\n", "error_scale"),
+        ("errors = contaminated-normal\nerror_eps = 0.2\n"
+         "error_outlier_scale = 0\n", "error_outlier_scale"),
+        ("errors = contaminated-normal\nerror_eps = 1.5\n", "error_eps"),
+        ("refine_steps = 3\n", "refine_steps"),
+        ("sizes = 60\n", "sizes"),
+    ], ids=["negative-scale", "nan-scale", "zero-outlier-scale", "eps-above-1",
+            "solver-constant", "repeated-key"])
+    def test_bad_scenario_value_exit_3(self, tmp_path, capsys, lines, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("kind = contamination\nmodel = linear\np = 1\n"
+                       "beta0 = 1.0\nsizes = 50\nreplications = 1\n" + lines)
+        assert main(["simulate", "--scenario", str(bad)]) == 3
+        assert f"(key: {key})" in capsys.readouterr().err
+
     def test_runtime_scenario_error_exit_3(self, tmp_path, capsys):
         # parses, but the consistency run itself rejects two sizes
         bad = tmp_path / "two-sizes.cfg"

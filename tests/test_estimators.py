@@ -66,7 +66,7 @@ class TestFitS:
         xi, sigma = fit_s(d, linear_model(1), CFG)
         at_truth = mscale(residuals(d, linear_model(1),
                                     AugmentedParam(beta0, alpha0)),
-                          CFG.rho0, CFG.mscale_config())
+                          CFG.rho0, CFG.delta)
         assert sigma <= at_truth + 1e-12
 
     def test_scale_is_mscale_at_solution(self):
@@ -74,7 +74,7 @@ class TestFitS:
         d = make_linear(rng, 60, 2, [1.0, -1.0], 0.0)
         m = linear_model(2)
         xi, sigma = fit_s(d, m, CFG)
-        again = mscale(residuals(d, m, xi), CFG.rho0, CFG.mscale_config())
+        again = mscale(residuals(d, m, xi), CFG.rho0, CFG.delta)
         assert sigma == pytest.approx(again, rel=1e-10)
 
     def test_tiny_instance_grid_oracle(self):
@@ -98,7 +98,7 @@ class TestFitMM:
         d = Dataset(x=np.zeros((8, 0)), y=y)
         from robustmm.model import location_model
         m = location_model()
-        sigma = mscale(y - 3.0, CFG.rho0, CFG.mscale_config())
+        sigma = mscale(y - 3.0, CFG.rho0, CFG.delta)
         got = fit_mm(d, m, CFG, sigma, AugmentedParam(np.zeros(0), 3.0))
         assert got.alpha == pytest.approx(3.0, abs=1e-10)
 

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -148,6 +150,56 @@ class TestScenario:
         with pytest.raises(ScenarioError):
             SimScenario(kind="consistency", model="linear", p=1, beta0=(1.0,),
                         sizes=(50, 200, 800), thresholds={"nope": 1.0})
+
+    @pytest.mark.parametrize("name", ["contamination-smoke.cfg",
+                                      "linear-consistency.cfg",
+                                      "location-normal.cfg"])
+    def test_bundled_round_trip(self, tmp_path, name):
+        s = load_scenario(resources.files("robustmm") / "scenarios" / name)
+        lines = []
+        for key, val in s.to_dict().items():
+            if key == "thresholds":
+                lines += [f"threshold.{k} = {v}" for k, v in val.items()]
+            elif isinstance(val, tuple):
+                lines.append(f"{key} = {', '.join(str(v) for v in val)}")
+            else:
+                lines.append(f"{key} = {val}")
+        f = tmp_path / name
+        f.write_text("\n".join(lines) + "\n")
+        assert load_scenario(f) == s
+
+    @pytest.mark.parametrize("key", ["refine_steps", "n_best", "irwls_tol",
+                                     "irwls_max_iter"])
+    def test_solver_constants_not_keys(self, tmp_path, key):
+        f = tmp_path / "s.cfg"
+        f.write_text(f"kind = consistency\n{key} = 2\n")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(f)
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("key,value", [("sizes", "30, 60, 120"),
+                                           ("threshold.ratio_lo", "0.2")],
+                             ids=["sizes", "threshold"])
+    def test_repeated_key_rejected(self, tmp_path, key, value):
+        f = tmp_path / "s.cfg"
+        f.write_text(f"kind = consistency\n{key} = {value}\n{key} = {value}\n")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(f)
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"error_scale": -1.0}, "error_scale"),
+        ({"error_scale": float("nan")}, "error_scale"),
+        ({"error_shift": float("inf")}, "error_shift"),
+        ({"errors": "contaminated-normal", "error_eps": 0.2,
+          "error_outlier_scale": 0.0}, "error_outlier_scale"),
+        ({"errors": "contaminated-normal", "error_eps": 1.5}, "error_eps"),
+    ], ids=["negative-scale", "nan-scale", "inf-shift", "zero-outlier-scale",
+            "eps-above-1"])
+    def test_error_law_checked_at_construction(self, overrides, key):
+        with pytest.raises(ScenarioError) as err:
+            SimScenario(**{**SMALL, **overrides})
+        assert err.value.key == key
 
 
 SMALL = dict(kind="consistency", model="linear", p=1, beta0=(2.0,), alpha0=0.0,

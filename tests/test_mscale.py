@@ -3,13 +3,13 @@ import importlib
 import numpy as np
 import pytest
 
-from robustmm import MScaleConfig, bisquare, mscale, mscale_objective
+from robustmm import bisquare, mscale, mscale_objective
 from robustmm.exceptions import DomainError
 
 mscale_module = importlib.import_module("robustmm.mscale")
 
 RHO = bisquare(1.547)
-CFG = MScaleConfig(delta=0.5)
+DELTA = 0.5
 
 
 def bisect_oracle(residuals, rho0, delta, lo=1e-12, hi=1e12, iters=200):
@@ -50,12 +50,12 @@ class TestObjective:
 
 class TestMScale:
     def test_all_zero_residuals(self):
-        assert mscale(np.zeros(10), RHO, CFG) == 0.0
+        assert mscale(np.zeros(10), RHO, DELTA) == 0.0
 
     def test_single_residual_analytic(self):
         # invert 1 - (1 - u^2)^3 = 1/2 by hand for one residual equal to 1
         expected = 1.0 / (RHO.k * np.sqrt(1.0 - 0.5 ** (1.0 / 3.0)))
-        got = mscale(np.array([1.0]), RHO, CFG)
+        got = mscale(np.array([1.0]), RHO, DELTA)
         assert got == pytest.approx(expected, rel=1e-10)
         assert got == pytest.approx(1.42318, abs=1e-5)
         assert got == pytest.approx(bisect_oracle([1.0], RHO, 0.5), rel=1e-10)
@@ -64,63 +64,65 @@ class TestMScale:
         rng = np.random.default_rng(11)
         for _ in range(20):
             r = rng.normal(size=rng.integers(5, 80))
-            assert mscale(r, RHO, CFG) == pytest.approx(
+            assert mscale(r, RHO, DELTA) == pytest.approx(
                 bisect_oracle(r, RHO, 0.5), rel=1e-9)
 
     def test_root_certificate(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             r = rng.standard_t(df=2, size=rng.integers(5, 200))
-            s = mscale(r, RHO, CFG)
+            s = mscale(r, RHO, DELTA)
             if s > 0:
-                assert abs(mscale_objective(r, RHO, s) - CFG.delta) <= 1e-10
+                assert abs(mscale_objective(r, RHO, s) - DELTA) <= 1e-10
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(13)
         r = rng.normal(size=40)
-        base = mscale(r, RHO, CFG)
+        base = mscale(r, RHO, DELTA)
         for c in [1e-6, 0.37, 2.0, 1e7]:
-            assert mscale(c * r, RHO, CFG) == pytest.approx(c * base, rel=1e-12)
+            assert mscale(c * r, RHO, DELTA) == pytest.approx(c * base, rel=1e-12)
 
     def test_sign_invariance(self):
         rng = np.random.default_rng(17)
         r = rng.normal(size=25)
-        assert mscale(-r, RHO, CFG) == mscale(r, RHO, CFG)
+        assert mscale(-r, RHO, DELTA) == mscale(r, RHO, DELTA)
 
     def test_monotone_bracket(self):
         rng = np.random.default_rng(19)
         r = rng.normal(size=30)
-        s, (lo, hi) = mscale(r, RHO, CFG, return_bracket=True)
+        s = mscale(r, RHO, DELTA)
+        _, (lo,), (hi,), _ = mscale_module._mscale_batch(
+            r[None, :], RHO, DELTA, mscale_module.SCALE_TOL,
+            mscale_module.SCALE_MAX_ITER)
         assert lo <= s <= hi
-        assert mscale_objective(r, RHO, lo) >= CFG.delta >= mscale_objective(r, RHO, hi)
+        assert mscale_objective(r, RHO, lo) >= DELTA >= mscale_objective(r, RHO, hi)
 
     def test_breakdown_zero_padding(self):
         # once zeros exceed fraction 1 - delta the equation has no positive root
         rng = np.random.default_rng(23)
         r = rng.normal(size=10)
-        assert mscale(r, RHO, CFG) > 0
+        assert mscale(r, RHO, DELTA) > 0
         padded = np.concatenate([r, np.zeros(11)])  # 11/21 > 1 - 0.5
-        assert mscale(padded, RHO, CFG) == 0.0
+        assert mscale(padded, RHO, DELTA) == 0.0
 
     def test_boundary_zero_fraction(self):
         # exactly 1 - delta zeros also degenerates
         r = np.array([0.0, 0.0, 1.0, 2.0])
-        assert mscale(r, RHO, MScaleConfig(delta=0.5)) == 0.0
+        assert mscale(r, RHO, 0.5) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mscale(np.array([]), RHO, CFG)
+            mscale(np.array([]), RHO, DELTA)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
-            mscale(np.array([1.0, np.nan]), RHO, CFG)
+            mscale(np.array([1.0, np.nan]), RHO, DELTA)
 
     def test_other_delta(self):
         rng = np.random.default_rng(29)
         r = rng.normal(size=60)
         for delta in (0.1, 0.25, 0.75):
-            cfg = MScaleConfig(delta=delta)
-            s = mscale(r, RHO, cfg)
+            s = mscale(r, RHO, delta)
             assert abs(mscale_objective(r, RHO, s) - delta) <= 1e-10
 
 
@@ -228,13 +230,41 @@ class TestScalarSolver:
         assert len(calls) <= 12
 
 
+class TestBatchSolver:
+    """The quick-refine solver: a one-row call matches the scalar solver
+    bit for bit, but a row solved inside a batch keeps bisecting until
+    every row meets the tolerance, so it moves within that tolerance."""
+
+    TOL = 1e-8
+
+    def test_one_row_calls_equal_scalar(self):
+        rng = np.random.default_rng(43)
+        for i in range(40):
+            r = rng.normal(size=int(rng.integers(5, 300))) * rng.uniform(1e-3, 1e3)
+            if i % 4 == 3:
+                r = np.round(r, 1)  # ties
+            root = bisect_oracle(r, RHO, 0.5)
+            for lo, hi in ((None, None), (0.25 * root, root * (1 + 1e-9)),
+                           (2.0 * root, 3.0 * root)):
+                one = mscale_module._mscale_batch(r[None, :], RHO, 0.5, self.TOL,
+                                                  150, lo_init=lo, hi_init=hi)[0][0]
+                assert one == mscale_module._mscale_scalar(
+                    r, RHO, 0.5, self.TOL, 150, lo_init=lo, hi_init=hi)
+
+    def test_batched_rows_move_within_tolerance(self):
+        rng = np.random.default_rng(47)
+        R = rng.normal(size=(50, 100)) * rng.uniform(0.1, 10.0, size=(50, 1))
+        batched = mscale_module._mscale_batch(R, RHO, 0.5, self.TOL, 150)[0]
+        one_row = np.array([mscale_module._mscale_batch(r[None, :], RHO, 0.5,
+                                                        self.TOL, 150)[0][0]
+                            for r in R])
+        assert np.all(np.abs(batched - one_row) <= self.TOL * one_row)
+        assert np.count_nonzero(batched != one_row) > 0
+
+
 class TestConfig:
     def test_delta_validated(self):
         with pytest.raises(ValueError):
-            MScaleConfig(delta=0.0)
+            mscale(np.ones(3), RHO, 0.0)
         with pytest.raises(ValueError):
-            MScaleConfig(delta=1.0)
-
-    def test_tol_validated(self):
-        with pytest.raises(ValueError):
-            MScaleConfig(tol=0.0)
+            mscale(np.ones(3), RHO, 1.0)
