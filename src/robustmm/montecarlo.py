@@ -901,9 +901,9 @@ def run_contamination(scenario: SimScenario) -> SimReport:
     claims = [fail_claim]
     per_rep = []
     worst_multiple = 0.0
-    growth_worst = 0.0
+    mags = sorted(scenario.outlier_magnitudes)
+    growth_worst = 0.0 if len(mags) >= 2 else None
     if ok:
-        mags = sorted(scenario.outlier_magnitudes)
         for r in ok:
             for (eps, mag), dev in r["deviations"].items():
                 per_rep.append({"rep": r["rep"], "fraction": eps,
@@ -912,7 +912,7 @@ def run_contamination(scenario: SimScenario) -> SimReport:
             worst_multiple = max(worst_multiple,
                                  max(dev / r["se_norm"]
                                      for dev in r["deviations"].values()))
-            if len(mags) >= 2:
+            if growth_worst is not None:
                 for eps in scenario.contamination_fractions:
                     lo_dev = r["deviations"][(eps, mags[-2])]
                     hi_dev = r["deviations"][(eps, mags[-1])]
@@ -924,10 +924,14 @@ def run_contamination(scenario: SimScenario) -> SimReport:
                             passed=bool(worst_multiple < cap),
                             value=worst_multiple, threshold=cap))
         gcap = scenario.thresholds["magnitude_growth_max"]
+        if growth_worst is None:
+            passed, detail = None, "needs two magnitudes"
+        else:
+            passed = bool(growth_worst <= gcap)
+            detail = f"magnitudes {mags[-2]:g} to {mags[-1]:g}"
         claims.append(Claim(name="deviation_growth_large_magnitudes",
-                            passed=bool(growth_worst <= gcap),
-                            value=growth_worst, threshold=gcap,
-                            detail=f"magnitudes {mags[-2]:g} to {mags[-1]:g}"))
+                            passed=passed, value=growth_worst, threshold=gcap,
+                            detail=detail))
     summary = {"n": scenario.sizes[0], "worst_se_multiple": worst_multiple,
                "worst_magnitude_growth": growth_worst}
     return SimReport(kind="contamination", scenario=scenario.to_dict(),

@@ -2,8 +2,17 @@
 
 The scale sigma solves  mean rho0(r_i / sigma) = delta.  The left side is
 nonincreasing in sigma, so a bracketed bisection is unconditionally
-convergent; the returned value always carries an objective-level
-certificate |mean rho0(r/sigma) - delta| <= 1e-10 when positive.
+convergent; the public ``mscale`` certifies its root at the objective
+level, |mean rho0(r/sigma) - delta| <= CERT_TOL, whenever it is positive.
+
+Both solvers return exactly the sigma of a plain bracket-then-bisect
+scheme, but evaluate the loss only at the bisection midpoints that no
+earlier evaluation decides. The computed mean loss is within 1e-14 of
+the true one, so a point where it exceeds delta by more than DECIDE_TOL
+lies below the root and decides every smaller midpoint, and one where
+it falls short by as much decides every larger one. A few regula falsi
+steps place such points close to the root on both sides before the
+bisection starts.
 """
 
 from __future__ import annotations
@@ -37,15 +46,27 @@ def mscale_objective(residuals, rho0: RhoFunction, sigma: float) -> float:
 
 
 def _loss_eval(rho0: RhoFunction):
-    """Unchecked vectorized loss for the solver's hot loop; the caller
-    guarantees finiteness of the residuals."""
+    """Unchecked vectorized loss for the solvers' hot loops; the caller
+    guarantees finite input. The returned callable may overwrite its
+    argument, so callers pass it scratch arrays or temporaries: the
+    bisquare loss is computed in place, with the operations of
+    ``RhoFunction.rho`` in the same order, so its values are the same
+    bit for bit."""
     if rho0.kind == "bisquare":
         k = rho0.k
+        work = np.empty(0)
 
         def ev(t):
-            u2 = np.minimum((t / k) ** 2, 1.0)
-            v = 1.0 - u2
-            return 1.0 - v * v * v
+            nonlocal work
+            if work.size < t.size:
+                work = np.empty(t.size)
+            v2 = work[:t.size].reshape(t.shape)
+            np.divide(t, k, out=t)
+            np.square(t, out=t)
+            np.minimum(t, 1.0, out=t)
+            v = np.subtract(1.0, t, out=t)
+            np.multiply(v, v, out=v2)
+            return np.subtract(1.0, np.multiply(v2, v, out=t), out=t)
 
         return ev
     return rho0.rho
@@ -54,6 +75,8 @@ def _loss_eval(rho0: RhoFunction):
 #: a computed mean loss this far from delta decides the bisection steps
 #: it was not evaluated at; its rounding error is below 1e-14
 DECIDE_TOL = 1e-12
+#: cap on the regula falsi steps that precede the bisection
+REGULA_FALSI_STEPS = 12
 
 
 def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float,
@@ -109,7 +132,7 @@ def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float,
 
     # locate the root by a few regula falsi steps (Illinois variant)
     x0, g0, x1, g1, side = lo, g_lo, hi, g_hi, 0
-    for _ in range(12):
+    for _ in range(REGULA_FALSI_STEPS):
         if above - below <= tol * below:
             break
         x = x1 - g1 * (x1 - x0) / (g1 - g0) if g0 > g1 else x0
@@ -146,17 +169,34 @@ def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float,
 
 def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
                   tol: float, max_iter: int, lo_init=None, hi_init=None):
-    """Vectorized bisection over the rows of a residual matrix.
+    """M-scale of every row of a residual matrix.
 
-    Returns (sigma, lo, hi, status) arrays; status 0 = root certified,
-    1 = degenerate zero-residual row (sigma = 0), 2 = not converged.
-    Every row keeps bisecting until all rows meet ``tol``, so a row's
-    sigma depends on the other rows of the batch: it stays inside the
-    bracket of its one-row solve, within ``tol`` relative of that answer,
-    but is not equal to it bit for bit. A one-row call gives the same
-    sigma as ``_mscale_scalar`` bit for bit. ``lo_init``/``hi_init`` are
-    warm bracket guesses; they are expanded whenever they do not straddle
-    the root, so a bad guess costs iterations, never correctness.
+    Returns (sigma, lo, hi, status) arrays; status 0 = the row's bracket
+    met ``tol``, 1 = degenerate zero-residual row (sigma = 0), 2 = the
+    bracket never straddled the root or did not meet ``tol`` within
+    ``max_iter`` bisection steps. The root is not certified against the
+    objective; ``mscale`` does that for its one row.
+
+    The answer is bit for bit that of a plain batch bisection: expand each
+    row's bracket until mean rho0(|r|/lo) >= delta >= mean rho0(|r|/hi),
+    then bisect all rows together until every row meets ``tol``. So a
+    row's sigma depends on the other rows of the batch: it stays inside
+    the bracket of its one-row solve, within ``tol`` relative of that
+    answer, but is not equal to it bit for bit. A one-row call gives the
+    same sigma as ``_mscale_scalar`` bit for bit. ``lo_init``/``hi_init``
+    are warm bracket guesses; they are expanded whenever they do not
+    straddle the root, so a bad guess costs iterations, never correctness.
+
+    The loss is evaluated only where the answer needs it: during the
+    expansion on the rows whose bracket is still bad, during the
+    bisection on the rows whose midpoint no earlier point decides
+    (module docstring), always in place in one preallocated (m, n)
+    buffer. In between, up to REGULA_FALSI_STEPS Illinois steps per row
+    place deciding points close to each root on both sides. They step in
+    log sigma because a cold bracket spans about two decades: on the
+    500 x 5000 quick-refine matrices of a 5000-row linear fit a call then
+    takes about 13 loss passes over the matrix, against about 19 with the
+    same steps in sigma and 39 for plain bisection.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[1] == 0:
@@ -165,9 +205,6 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
     absR = np.abs(R)
     k = rho0.k
     loss = _loss_eval(rho0)
-
-    def objective(A, s):
-        return loss(A / s[:, None]).mean(axis=1)
 
     sigma = np.zeros(m)
     lo = np.zeros(m)
@@ -181,48 +218,105 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
     if not np.any(active):
         return sigma, lo, hi, status
 
-    A = absR[active]
+    A = absR if active.all() else absR[active]
+    ma = len(A)
     if lo_init is None:
         med = np.median(A, axis=1)
         min_pos = np.where(A > 0.0, A, np.inf).min(axis=1)
         lo_a = np.where(med > 0.0, med, min_pos) / k
     else:
-        lo_a = np.broadcast_to(np.asarray(lo_init, dtype=float),
-                               (active.sum(),)).copy()
+        lo_a = np.broadcast_to(np.asarray(lo_init, dtype=float), (ma,)).copy()
     if hi_init is None:
         hi_a = A.max(axis=1) * k * 10.0
     else:
-        hi_a = np.broadcast_to(np.asarray(hi_init, dtype=float),
-                               (active.sum(),)).copy()
+        hi_a = np.broadcast_to(np.asarray(hi_init, dtype=float), (ma,)).copy()
 
-    # expand geometrically until objective(lo) >= delta >= objective(hi)
+    buf = np.empty_like(A)
+    below = np.full(ma, -np.inf)  # sigmas known to lie below / above the root
+    above = np.full(ma, np.inf)
+
+    def gap(rows, s):
+        # mean rho0(A[rows] / s) - delta, row by row; sum / n is what
+        # ndarray.mean computes, and a row's sum does not depend on which
+        # other rows are evaluated with it; take with mode "clip" writes
+        # straight into buf, where mode "raise" would buffer
+        t = np.take(A, rows, axis=0, out=buf[:rows.size], mode="clip")
+        g = np.add.reduce(loss(np.divide(t, s[:, None], out=t)), axis=1) / n - delta
+        hit = g > DECIDE_TOL
+        below[rows[hit]] = np.maximum(below[rows[hit]], s[hit])
+        hit = g < -DECIDE_TOL
+        above[rows[hit]] = np.minimum(above[rows[hit]], s[hit])
+        return g
+
+    # expand geometrically until mean loss(lo) >= delta >= mean loss(hi)
+    everyone = np.arange(ma)
+    stuck = np.zeros(ma, dtype=bool)
+    g_lo = np.zeros(ma)
+    g_hi = np.zeros(ma)
+    rows = everyone
     for _ in range(max_iter):
-        bad = objective(A, lo_a) < delta
-        if not np.any(bad):
+        g_lo[rows] = gap(rows, lo_a[rows])
+        rows = rows[g_lo[rows] < 0.0]
+        if rows.size == 0:
             break
-        lo_a[bad] *= 0.5
+        lo_a[rows] *= 0.5
+    stuck[rows] = True
+    rows = everyone
     for _ in range(max_iter):
-        bad = objective(A, hi_a) > delta
-        if not np.any(bad):
+        g_hi[rows] = gap(rows, hi_a[rows])
+        rows = rows[g_hi[rows] > 0.0]
+        if rows.size == 0:
             break
-        hi_a[bad] *= 2.0
+        hi_a[rows] *= 2.0
+    stuck[rows] = True
+
+    # locate each root by regula falsi (Illinois variant) in log sigma
+    x0, g0, x1, g1 = np.log(lo_a), g_lo, np.log(hi_a), g_hi
+    side = np.zeros(ma)
+    rows = everyone
+    for _ in range(REGULA_FALSI_STEPS):
+        rows = rows[~(above[rows] - below[rows] <= tol * below[rows])]
+        if rows.size == 0:
+            break
+        a, ga, b, gb = x0[rows], g0[rows], x1[rows], g1[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = b - gb * (b - a) / (gb - ga)
+        x = np.where((ga > gb) & (a < x) & (x < b), x, 0.5 * (a + b))
+        s = np.exp(x)
+        g = gap(rows, s)
+        close = np.abs(g) <= DECIDE_TOL
+        if np.any(close):
+            # too close to the root to decide anything: probe either
+            # side of it instead
+            gap(rows[close], s[close] * (1.0 - 0.25 * tol))
+            gap(rows[close], s[close] * (1.0 + 0.25 * tol))
+        pos, neg = g > DECIDE_TOL, g < -DECIDE_TOL
+        r = rows[pos]
+        x0[r], g0[r] = x[pos], g[pos]
+        g1[r[side[r] > 0]] *= 0.5
+        side[r] = 1
+        r = rows[neg]
+        x1[r], g1[r] = x[neg], g[neg]
+        g0[r[side[r] < 0]] *= 0.5
+        side[r] = -1
+        rows = rows[pos | neg]
 
     for _ in range(max_iter):
         if np.all(hi_a - lo_a <= tol * hi_a):
             break
         mid = 0.5 * (lo_a + hi_a)
-        above = objective(A, mid) >= delta
-        lo_a = np.where(above, mid, lo_a)
-        hi_a = np.where(above, hi_a, mid)
+        up = mid <= below
+        rows = np.flatnonzero(~up & (mid < above))
+        if rows.size:
+            up[rows] = gap(rows, mid[rows]) >= 0.0
+        lo_a = np.where(up, mid, lo_a)
+        hi_a = np.where(up, hi_a, mid)
 
-    sig_a = 0.5 * (lo_a + hi_a)
-    certified = np.abs(objective(A, sig_a) - delta) <= CERT_TOL
-    st_a = np.where(certified, 0, 2)
-
-    sigma[active] = sig_a
+    met = (hi_a - lo_a <= tol * hi_a) & ~stuck
+    sigma[active] = 0.5 * (lo_a + hi_a)
     lo[active] = lo_a
     hi[active] = hi_a
-    status[active] = st_a
+    status[active] = np.where(met, 0, 2)
     return sigma, lo, hi, status
 
 
@@ -232,8 +326,11 @@ def mscale(residuals, rho0: RhoFunction, delta: float = DEFAULT_DELTA) -> float:
 
     Returns 0 when the fraction of exactly-zero residuals reaches
     1 - delta, in which case the equation has no positive root and the
-    caller should treat the input as an exact fit. Deterministic: the
-    same inputs always produce the same bracket sequence and root.
+    caller should treat the input as an exact fit. Raises
+    ConvergenceError, carrying the final bracket, when a positive root
+    misses the certificate |mean rho0(r/sigma) - delta| <= CERT_TOL.
+    Deterministic: the same inputs always produce the same bracket
+    sequence and root.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -247,8 +344,10 @@ def mscale(residuals, rho0: RhoFunction, delta: float = DEFAULT_DELTA) -> float:
 
     sigma, lo, hi, status = _mscale_batch(r[None, :], rho0, delta,
                                           SCALE_TOL, SCALE_MAX_ITER)
-    if status[0] == 2:
+    s = float(sigma[0])
+    if status[0] == 2 or (status[0] == 0 and
+                          abs(mscale_objective(r, rho0, s) - delta) > CERT_TOL):
         raise ConvergenceError(
             f"M-scale bisection did not certify a root within {SCALE_MAX_ITER} iterations",
             bracket=(float(lo[0]), float(hi[0])))
-    return float(sigma[0])
+    return s

@@ -224,6 +224,24 @@ class TestSimulate:
         assert code == 3
         assert "(key: ROBUSTMM_THREADS)" in capsys.readouterr().err
 
+    def test_one_magnitude_growth_undecided(self, tmp_path):
+        scen = tmp_path / "one-magnitude.cfg"
+        scen.write_text("kind = contamination\nmodel = linear\np = 1\n"
+                        "beta0 = 1.0\nsizes = 60\nreplications = 1\n"
+                        "n_subsamples = 20\ncontamination_fractions = 0.0, 0.2\n"
+                        "outlier_magnitudes = 100\n")
+        out = tmp_path / "rep.json"
+        # an undecided claim makes the report undecided, which is not a pass
+        assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["passed"] is None
+        claims = {c["name"]: c for c in report["claims"]}
+        growth = claims["deviation_growth_large_magnitudes"]
+        assert growth["passed"] is None
+        assert growth["detail"] == "needs two magnitudes"
+        assert claims["max_deviation_vs_clean_se"]["passed"] is True
+        assert report["summary"]["worst_magnitude_growth"] is None
+
     def test_missing_scenario_exit_3(self):
         assert main(["simulate", "--scenario", "/nope.cfg"]) == 3
 

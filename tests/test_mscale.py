@@ -2,9 +2,12 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from robustmm import bisquare, mscale, mscale_objective
-from robustmm.exceptions import DomainError
+from robustmm import bisquare, custom_rho, mscale, mscale_objective
+from robustmm.exceptions import ConvergenceError, DomainError
 
 mscale_module = importlib.import_module("robustmm.mscale")
 
@@ -118,6 +121,16 @@ class TestMScale:
         with pytest.raises(DomainError):
             mscale(np.array([1.0, np.nan]), RHO, DELTA)
 
+    def test_uncertified_root_raises_with_bracket(self):
+        # a step loss jumps across delta at sigma = 3, so the bisection
+        # meets its sigma tolerance where no sigma solves the equation
+        step = custom_rho(1.0, lambda t: (np.abs(t) >= 1.0).astype(float),
+                          np.zeros_like, np.zeros_like)
+        with pytest.raises(ConvergenceError) as err:
+            mscale(np.array([1.0, 2.0, 3.0, 4.0]), step, 0.4)
+        lo, hi = err.value.bracket
+        assert lo <= 3.0 < hi
+
     def test_other_delta(self):
         rng = np.random.default_rng(29)
         r = rng.normal(size=60)
@@ -230,12 +243,166 @@ class TestScalarSolver:
         assert len(calls) <= 12
 
 
+def plain_batch_bisection(R, rho0, delta, tol, max_iter, lo_init=None,
+                          hi_init=None, loss=None):
+    """The batch solver as a plain bisection that evaluates every row at
+    every step: expand each row's bracket, then bisect all rows together
+    until every row meets ``tol``. Status 2 marks a row whose bracket
+    never straddled the root or missed ``tol``."""
+    loss = rho0.rho if loss is None else loss
+    absR = np.abs(np.asarray(R, dtype=float))
+    m, n = absR.shape
+    k = rho0.k
+
+    def objective(A, s):
+        return loss(A / s[:, None]).mean(axis=1)
+
+    sigma, lo, hi = np.zeros(m), np.zeros(m), np.zeros(m)
+    status = np.zeros(m, dtype=int)
+    degenerate = (absR == 0.0).mean(axis=1) >= 1.0 - delta
+    status[degenerate] = 1
+    active = ~degenerate
+    if not np.any(active):
+        return sigma, lo, hi, status
+    A = absR[active]
+    if lo_init is None:
+        med = np.median(A, axis=1)
+        min_pos = np.where(A > 0.0, A, np.inf).min(axis=1)
+        lo_a = np.where(med > 0.0, med, min_pos) / k
+    else:
+        lo_a = np.broadcast_to(np.asarray(lo_init, dtype=float), (len(A),)).copy()
+    if hi_init is None:
+        hi_a = A.max(axis=1) * k * 10.0
+    else:
+        hi_a = np.broadcast_to(np.asarray(hi_init, dtype=float), (len(A),)).copy()
+
+    stuck = np.zeros(len(A), dtype=bool)
+    for _ in range(max_iter):
+        bad = objective(A, lo_a) < delta
+        if not np.any(bad):
+            break
+        lo_a[bad] *= 0.5
+    else:
+        stuck |= bad
+    for _ in range(max_iter):
+        bad = objective(A, hi_a) > delta
+        if not np.any(bad):
+            break
+        hi_a[bad] *= 2.0
+    else:
+        stuck |= bad
+
+    for _ in range(max_iter):
+        if np.all(hi_a - lo_a <= tol * hi_a):
+            break
+        mid = 0.5 * (lo_a + hi_a)
+        above = objective(A, mid) >= delta
+        lo_a = np.where(above, mid, lo_a)
+        hi_a = np.where(above, hi_a, mid)
+
+    met = (hi_a - lo_a <= tol * hi_a) & ~stuck
+    sigma[active] = 0.5 * (lo_a + hi_a)
+    lo[active] = lo_a
+    hi[active] = hi_a
+    status[active] = np.where(met, 0, 2)
+    return sigma, lo, hi, status
+
+
+def assert_same_solve(got, want):
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
 class TestBatchSolver:
-    """The quick-refine solver: a one-row call matches the scalar solver
-    bit for bit, but a row solved inside a batch keeps bisecting until
-    every row meets the tolerance, so it moves within that tolerance."""
+    """The quick-refine solver: it skips the loss evaluations that earlier
+    points decide, so it must give plain batch bisection's four outputs
+    bit for bit with fewer loss points. A one-row call matches the scalar
+    solver bit for bit, but a row solved inside a batch keeps bisecting
+    until every row meets the tolerance, so it moves within that
+    tolerance."""
 
     TOL = 1e-8
+
+    def _matrices(self):
+        rng = np.random.default_rng(53)
+        for i in range(24):
+            m, n = int(rng.integers(1, 30)), int(rng.integers(2, 400))
+            R = rng.standard_t(df=2, size=(m, n)) if i % 2 else rng.normal(size=(m, n))
+            R *= rng.uniform(1e-3, 1e3, size=(m, 1))
+            if i % 3 == 1:
+                R = np.round(R, 1)  # ties
+            if i % 3 == 2:
+                for row, zeros in zip(R, rng.integers(0, n + 1, size=m)):
+                    row[:zeros] = 0.0  # degenerate once zeros reach 1 - delta
+            yield R
+
+    def test_same_answer_as_plain_bisection(self):
+        rng = np.random.default_rng(59)
+        for R in self._matrices():
+            live = (R == 0.0).mean(axis=1) < 0.5
+            root = np.array([bisect_oracle(r, RHO, 0.5) for r in R[live]])
+            # cold, straddling and missing warm brackets
+            warm = ((None, None),
+                    (root * rng.uniform(0.1, 1.0, root.size),
+                     root * rng.uniform(1.0, 3.0, root.size)),
+                    (root * rng.uniform(1.5, 4.0, root.size),
+                     root * rng.uniform(0.2, 0.8, root.size)))
+            for tol in (1e-12, 1e-10, 1e-8, 1e-4):
+                for lo, hi in warm:
+                    want = plain_batch_bisection(R, RHO, 0.5, tol, 150, lo, hi)
+                    assert_same_solve(mscale_module._mscale_batch(
+                        R, RHO, 0.5, tol, 150, lo_init=lo, hi_init=hi), want)
+
+    def test_status_two_only_when_tol_missed(self):
+        rng = np.random.default_rng(61)
+        R = rng.normal(size=(6, 50))
+        ok = mscale_module._mscale_batch(R, RHO, 0.5, self.TOL, 150)
+        assert np.all(ok[3] == 0)
+        # too few bisection steps, and a bracket too far off to expand
+        short = mscale_module._mscale_batch(R, RHO, 0.5, 1e-12, 10)
+        assert_same_solve(short, plain_batch_bisection(R, RHO, 0.5, 1e-12, 10))
+        assert np.all(short[3] == 2)
+        far = mscale_module._mscale_batch(R, RHO, 0.5, 1e-4, 10, lo_init=1e6)
+        assert_same_solve(far, plain_batch_bisection(R, RHO, 0.5, 1e-4, 10, 1e6))
+        assert np.all(far[3] == 2)
+
+    # a row mixing tiny and large residuals overflows (t / k)^2 to inf,
+    # which the loss saturates to 1 in both solvers
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(R=arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 60)),
+                    elements=st.one_of(
+                        st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5]),
+                        st.floats(-1e4, 1e4, allow_subnormal=False))),
+           tol=st.sampled_from([1e-12, 1e-8, 1e-4]),
+           delta=st.sampled_from([0.25, 0.5, 0.75]))
+    def test_property_same_as_plain_bisection(self, R, tol, delta):
+        assert_same_solve(mscale_module._mscale_batch(R, RHO, delta, tol, 150),
+                          plain_batch_bisection(R, RHO, delta, tol, 150))
+
+    def test_half_the_loss_points_of_plain_bisection(self, monkeypatch):
+        points = []
+        factory = mscale_module._loss_eval
+
+        def counting(rho0):
+            loss = factory(rho0)
+
+            def ev(t):
+                points.append(t.size)
+                return loss(t)
+            return ev
+
+        rng = np.random.default_rng(67)
+        R = rng.standard_t(df=3, size=(100, 2000)) * rng.uniform(0.5, 2.0, size=(100, 1))
+        R[:, :400] += rng.normal(40.0, 5.0, size=(100, 400))  # outliers
+        want = plain_batch_bisection(R, RHO, 0.5, self.TOL, 150,
+                                     loss=counting(RHO))
+        plain = sum(points)
+        points.clear()
+        monkeypatch.setattr(mscale_module, "_loss_eval", counting)
+        got = mscale_module._mscale_batch(R, RHO, 0.5, self.TOL, 150)
+        assert_same_solve(got, want)
+        assert sum(points) <= 0.5 * plain
 
     def test_one_row_calls_equal_scalar(self):
         rng = np.random.default_rng(43)
