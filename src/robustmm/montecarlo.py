@@ -26,10 +26,10 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from .estimators import FitConfig, fit
 from .exceptions import RobustmmError, ScenarioError
@@ -56,14 +56,66 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _require(*checks) -> None:
+    """Raise a ScenarioError naming the key of the first failed
+    (key, ok, requirement) check."""
+    for key, ok, requirement in checks:
+        if not ok:
+            raise ScenarioError(f"{key} {requirement}", key=key)
+
+
 # ---------------------------------------------------------------------------
 # error laws
+
+def _normal_pdf(u, w, loc, s):
+    z = (u - loc) / s
+    return w * np.exp(-0.5 * z * z) / (s * _SQRT_2PI)
+
+
+class _Family(NamedTuple):
+    """Base law of a mixture component (w, loc, s): the law shifted by
+    loc and scaled by s, with mixture weight w."""
+
+    pdf: Callable     # (u, w, loc, s) -> w times the component density
+    cdf: Callable     # (u, loc, s)
+    draw: Callable    # (rng, size) -> draws of the base law
+    window: Callable  # (loc, s) -> interval holding all but negligible mass
+    lower: Callable   # loc -> lower end of the support
+    symmetric: bool   # density symmetric about loc
+
+
+# the cdfs are what scipy.stats.norm and expon compute, without the
+# import and per-call cost of scipy.stats
+_NORMAL = _Family(_normal_pdf, lambda u, loc, s: special.ndtr((u - loc) / s),
+                  lambda rng, size: rng.standard_normal(size),
+                  lambda loc, s: (-(12.0 * s + 3.0 * abs(loc)), 12.0 * s + 3.0 * abs(loc)),
+                  lambda loc: -np.inf, True)
+_EXPONENTIAL = _Family(
+    lambda u, w, loc, s: w * np.where(u >= loc, (1.0 / s) * np.exp(-(1.0 / s) * (u - loc)), 0.0),
+    lambda u, loc, s: -special.expm1(-np.maximum((u - loc) / s, 0.0)),
+    lambda rng, size: rng.standard_exponential(size),
+    lambda loc, s: (loc - 5.0 * s, loc + 25.0 * s), lambda loc: loc, False)
+
+#: error law -> (family, strongly unimodal, its components (w, loc, s) as
+#: a function of the ErrorLaw). A new law is one row. ``sample`` draws the
+#: first component whose cumulative weight exceeds a uniform draw, so
+#: reordering components changes the random stream.
+_LAWS = {
+    "normal": (_NORMAL, True, lambda e: ((1.0, 0.0, e.scale),)),
+    "shifted-exponential": (_EXPONENTIAL, True, lambda e: ((1.0, e.shift, e.scale),)),
+    "contaminated-normal": (_NORMAL, True, lambda e: ((e.eps, 0.0, e.outlier_scale),
+                                                      (1.0 - e.eps, 0.0, e.scale))),
+    "bimodal-normal": (_NORMAL, False, lambda e: ((0.5, e.shift, e.scale),
+                                                  (0.5, -e.shift, e.scale))),
+}
+
 
 @dataclass(frozen=True)
 class ErrorLaw:
     """Error distribution with everything the harness needs: density and
     distribution function for quadrature, a sampler, and the flags the
-    uniqueness theory cares about."""
+    uniqueness theory cares about. All of them derive from the law's row
+    of ``_LAWS``."""
 
     name: str
     scale: float = 1.0
@@ -72,109 +124,55 @@ class ErrorLaw:
     outlier_scale: float = 10.0
 
     def __post_init__(self):
-        # the scenario key of each parameter is "error_" + its name
-        for name in ("scale", "shift", "eps", "outlier_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise ScenarioError(f"error {name} must be finite",
-                                    key=f"error_{name}")
-        for name in ("scale", "outlier_scale"):
-            if getattr(self, name) <= 0.0:
-                raise ScenarioError(f"error {name} must be positive",
-                                    key=f"error_{name}")
-        if not 0.0 <= self.eps < 1.0:
-            raise ScenarioError("contamination weight must lie in [0, 1)",
-                                key="error_eps")
+        _require(("errors", self.name in _LAWS, f"must be one of {tuple(_LAWS)}"),
+                 ("error_scale", 0.0 < self.scale < math.inf, "must be positive and finite"),
+                 ("error_shift", math.isfinite(self.shift), "must be finite"),
+                 ("error_eps", 0.0 <= self.eps < 1.0, "must lie in [0, 1)"),
+                 ("error_outlier_scale", 0.0 < self.outlier_scale < math.inf,
+                  "must be positive and finite"))
+
+    def _mixture(self) -> tuple:
+        family, _, components = _LAWS[self.name]
+        return family, components(self)
 
     @property
     def symmetric(self) -> bool:
-        return self.name in ("normal", "contaminated-normal", "bimodal-normal")
+        """Symmetric about 0: components closed under loc -> -loc."""
+        family, comps = self._mixture()
+        return family.symmetric and sorted(comps) == sorted((w, -loc, s) for w, loc, s in comps)
 
     @property
     def strongly_unimodal(self) -> bool:
-        return self.name != "bimodal-normal"
+        return _LAWS[self.name][1]
 
     @property
     def support(self) -> tuple:
-        if self.name == "shifted-exponential":
-            return (self.shift, np.inf)
-        return (-np.inf, np.inf)
+        family, comps = self._mixture()
+        return (min(family.lower(loc) for _, loc, _ in comps), np.inf)
 
     def plausible_range(self) -> tuple:
-        if self.name == "shifted-exponential":
-            return (self.shift - 5.0 * self.scale, self.shift + 25.0 * self.scale)
-        width = 12.0 * max(self.scale, self.outlier_scale if
-                           self.name == "contaminated-normal" else self.scale)
-        if self.name == "bimodal-normal":
-            width += 3.0 * abs(self.shift)
-        return (-width, width)
-
-    def variance(self) -> float:
-        if self.name == "normal":
-            return self.scale ** 2
-        if self.name == "shifted-exponential":
-            return self.scale ** 2
-        if self.name == "contaminated-normal":
-            return (1 - self.eps) * self.scale ** 2 + self.eps * self.outlier_scale ** 2
-        if self.name == "bimodal-normal":
-            return self.scale ** 2 + self.shift ** 2
-        raise ValueError(self.name)
+        family, comps = self._mixture()
+        windows = [family.window(loc, s) for _, loc, s in comps]
+        return (min(lo for lo, _ in windows), max(hi for _, hi in windows))
 
     def pdf(self, u):
         u = np.asarray(u, dtype=float)
-        if self.name == "normal":
-            z = u / self.scale
-            return np.exp(-0.5 * z * z) / (self.scale * _SQRT_2PI)
-        if self.name == "shifted-exponential":
-            lam = 1.0 / self.scale
-            out = np.where(u >= self.shift, lam * np.exp(-lam * (u - self.shift)), 0.0)
-            return out
-        if self.name == "contaminated-normal":
-            z1 = u / self.scale
-            z2 = u / self.outlier_scale
-            return ((1 - self.eps) * np.exp(-0.5 * z1 * z1) / (self.scale * _SQRT_2PI)
-                    + self.eps * np.exp(-0.5 * z2 * z2) / (self.outlier_scale * _SQRT_2PI))
-        if self.name == "bimodal-normal":
-            z1 = (u - self.shift) / self.scale
-            z2 = (u + self.shift) / self.scale
-            return 0.5 * (np.exp(-0.5 * z1 * z1) + np.exp(-0.5 * z2 * z2)) \
-                / (self.scale * _SQRT_2PI)
-        raise ValueError(self.name)
+        family, comps = self._mixture()
+        return sum(family.pdf(u, w, loc, s) for w, loc, s in comps)
 
     def cdf(self, u):
-        from scipy import stats
-        if self.name == "normal":
-            return stats.norm.cdf(u, scale=self.scale)
-        if self.name == "shifted-exponential":
-            return stats.expon.cdf(u, loc=self.shift, scale=self.scale)
-        if self.name == "contaminated-normal":
-            return ((1 - self.eps) * stats.norm.cdf(u, scale=self.scale)
-                    + self.eps * stats.norm.cdf(u, scale=self.outlier_scale))
-        if self.name == "bimodal-normal":
-            return 0.5 * (stats.norm.cdf(u, loc=self.shift, scale=self.scale)
-                          + stats.norm.cdf(u, loc=-self.shift, scale=self.scale))
-        raise ValueError(self.name)
+        family, comps = self._mixture()
+        return sum(w * family.cdf(u, loc, s) for w, loc, s in comps)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.name == "normal":
-            return self.scale * rng.standard_normal(size)
-        if self.name == "shifted-exponential":
-            return self.shift + rng.exponential(self.scale, size)
-        if self.name == "contaminated-normal":
-            mask = rng.random(size) < self.eps
-            base = rng.standard_normal(size)
-            return np.where(mask, self.outlier_scale * base, self.scale * base)
-        if self.name == "bimodal-normal":
-            signs = np.where(rng.random(size) < 0.5, 1.0, -1.0)
-            return signs * self.shift + self.scale * rng.standard_normal(size)
-        raise ValueError(self.name)
-
-
-_LAW_NAMES = ("normal", "shifted-exponential", "contaminated-normal", "bimodal-normal")
+        family, comps = self._mixture()
+        w, loc, s = (np.array(col) for col in zip(*comps))
+        pick = (np.searchsorted(np.cumsum(w)[:-1], rng.random(size), side="right")
+                if len(comps) > 1 else 0)
+        return loc[pick] + s[pick] * family.draw(rng, size)
 
 
 def make_error_law(name, scale=1.0, shift=0.0, eps=0.0, outlier_scale=10.0) -> ErrorLaw:
-    if name not in _LAW_NAMES:
-        raise ScenarioError(f"unknown error law {name!r}; known: {_LAW_NAMES}", key="errors")
     return ErrorLaw(name=name, scale=float(scale), shift=float(shift),
                     eps=float(eps), outlier_scale=float(outlier_scale))
 
@@ -314,8 +312,23 @@ def _oracle_mm_variance(law: ErrorLaw, c: InferenceConstants) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # scenarios
 
-_KINDS = ("consistency", "expansion", "normality", "contamination")
-_MODELS = ("location", "linear", "exp")
+class _Model(NamedTuple):
+    build: Callable              # p -> RegressionModel
+    design: Callable             # (rng, n, p) -> design matrix
+    moments: Optional[Callable]  # p -> (b0, A0) of the predictor gradient; None if unknown
+    defaults: dict               # scenario-file defaults for p and beta0
+
+
+#: scenario model -> its row; the design moments are those of the design
+#: sampler (standard normal predictors for the linear model)
+_MODELS = {
+    "location": _Model(lambda p: location_model(), lambda rng, n, p: np.zeros((n, 0)),
+                       lambda p: (np.zeros(0), np.zeros((0, 0))), {"p": 0, "beta0": ()}),
+    "linear": _Model(linear_model, lambda rng, n, p: rng.standard_normal((n, p)),
+                     lambda p: (np.zeros(p), np.eye(p)), {}),
+    "exp": _Model(lambda p: exp_model(), lambda rng, n, p: rng.uniform(0.0, 2.0, size=(n, 1)),
+                  None, {}),
+}
 
 _DEFAULT_THRESHOLDS = {
     "consistency": {"ratio_lo": 0.35, "ratio_hi": 0.72, "max_failure_rate": 0.01},
@@ -361,30 +374,30 @@ class SimScenario:
     thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ScenarioError(f"unknown kind {self.kind!r}", key="kind")
-        if self.model not in _MODELS:
-            raise ScenarioError(f"unknown model {self.model!r}", key="model")
-        if self.replications < 1:
-            raise ScenarioError("replications must be at least 1", key="replications")
-        if not self.sizes or any(n < 5 for n in self.sizes):
-            raise ScenarioError("sizes must be at least 5", key="sizes")
-        if self.kind == "consistency" and len(self.sizes) >= 2 \
-                and any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ScenarioError("sizes must be strictly increasing", key="sizes")
-        if self.model == "linear" and len(self.beta0) != self.p:
-            raise ScenarioError(f"beta0 must have {self.p} entries", key="beta0")
-        if self.model == "exp" and len(self.beta0) != 2:
-            raise ScenarioError("the exp model takes 2 coefficients", key="beta0")
-        if self.model == "location" and self.beta0:
-            raise ScenarioError("location model takes no coefficients", key="beta0")
-        if self.kind in ("expansion", "normality") and self.model == "exp":
-            raise ScenarioError(f"{self.kind} runs support location and linear "
-                                "models only", key="model")
+        _require(
+            ("kind", self.kind in _RUNNERS, f"must be one of {tuple(_RUNNERS)}"),
+            ("model", self.model in _MODELS, f"must be one of {tuple(_MODELS)}"),
+            ("replications", self.replications >= 1, "must be at least 1"),
+            ("sizes", bool(self.sizes) and min(self.sizes) >= 5, "must be at least 5"),
+            ("sizes", self.kind != "consistency" or all(
+                a < b for a, b in zip(self.sizes, self.sizes[1:])), "must be strictly increasing"),
+            ("delta", 0.0 < self.delta < 1.0, "must lie in (0, 1)"),
+            ("k0", 0.0 < self.k0 < math.inf, "must be positive and finite"),
+            ("k1", self.k0 <= self.k1 < math.inf, "must be finite and at least k0"),
+            ("n_subsamples", self.n_subsamples >= 1, "must be at least 1"),
+            ("seed", 0 <= self.seed < 2 ** 128, "must lie in [0, 2**128)"),
+            ("beta0", all(map(math.isfinite, self.beta0)), "must be finite"),
+            ("alpha0", math.isfinite(self.alpha0), "must be finite"))
+        try:
+            q = self.q
+        except ValueError as exc:
+            raise ScenarioError(str(exc), key="p") from exc
         law = self.error_law()
-        if self.kind == "normality" and not law.symmetric:
-            raise ScenarioError("normality runs need a symmetric error law",
-                                key="errors")
+        _require(("beta0", len(self.beta0) == q, f"must have {q} entries"),
+                 ("errors", self.kind != "normality" or law.symmetric,
+                  "must be a symmetric law for normality runs"))
+        if self.kind in ("expansion", "normality"):
+            self.design_moments()
         merged = dict(_DEFAULT_THRESHOLDS[self.kind])
         for key, val in self.thresholds.items():
             if key not in merged:
@@ -400,11 +413,7 @@ class SimScenario:
                               self.error_eps, self.error_outlier_scale)
 
     def build_model(self) -> RegressionModel:
-        if self.model == "location":
-            return location_model()
-        if self.model == "linear":
-            return linear_model(self.p)
-        return exp_model()
+        return _MODELS[self.model].build(self.p)
 
     def fit_config(self, seed: int) -> FitConfig:
         return FitConfig(delta=self.delta, rho0=bisquare(self.k0),
@@ -413,7 +422,7 @@ class SimScenario:
 
     @property
     def q(self) -> int:
-        return {"location": 0, "linear": self.p, "exp": 2}[self.model]
+        return self.build_model().q
 
     def stream(self, index: int) -> np.random.Generator:
         """Independent substream: serial and parallel runs see the same one."""
@@ -423,14 +432,11 @@ class SimScenario:
         return (self.seed * 1_000_003 + index) % (2 ** 63 - 1)
 
     def design_moments(self) -> tuple:
-        """(b0, A0) of the predictor gradient under the harness design
-        (standard normal predictors for the linear model)."""
-        if self.model == "location":
-            return np.zeros(0), np.zeros((0, 0))
-        if self.model == "linear":
-            return np.zeros(self.p), np.eye(self.p)
-        raise ScenarioError("design moments are only defined for location "
-                            "and linear models", key="model")
+        """(b0, A0) of the predictor gradient under the harness design."""
+        moments = _MODELS[self.model].moments
+        _require(("model", moments is not None, "must have known design moments for "
+                  "expansion and normality runs"))
+        return moments(self.p)
 
     def to_dict(self) -> dict:
         """Every field by name: the keys a scenario file can set."""
@@ -484,9 +490,8 @@ def load_scenario(path) -> SimScenario:
                                 key=key) from exc
     if "kind" not in fields:
         raise ScenarioError("scenario must declare a kind", key="kind")
-    if fields.get("model") == "location":
-        fields.setdefault("beta0", ())
-        fields.setdefault("p", 0)
+    if fields.get("model") in _MODELS:
+        fields = {**_MODELS[fields["model"]].defaults, **fields}
     return SimScenario(thresholds=thresholds, **fields)
 
 
@@ -580,17 +585,9 @@ def _parallel_map(fn, tasks):
 
 
 def _generate(scenario: SimScenario, n: int, rng: np.random.Generator) -> Dataset:
-    law = scenario.error_law()
-    if scenario.model == "location":
-        X = np.zeros((n, 0))
-        g = np.zeros(n)
-    elif scenario.model == "linear":
-        X = rng.standard_normal((n, scenario.p))
-        g = X @ np.asarray(scenario.beta0)
-    else:
-        X = rng.uniform(0.0, 2.0, size=(n, 1))
-        g = scenario.build_model().eval_batch(X, np.asarray(scenario.beta0))
-    u = law.sample(rng, n)
+    X = _MODELS[scenario.model].design(rng, n, scenario.p)
+    g = scenario.build_model().eval_batch(X, np.asarray(scenario.beta0))
+    u = scenario.error_law().sample(rng, n)
     return Dataset(x=X, y=g + scenario.alpha0 + u)
 
 
@@ -608,7 +605,7 @@ def _fit_task(args):
     except (RobustmmError, np.linalg.LinAlgError) as exc:
         return {"size_idx": size_idx, "rep": rep, "n": n, "failed": True,
                 "error": f"{type(exc).__name__}: {exc}"}
-    if scenario.model == "location":
+    if m.q == 0:
         ls = np.array([d.y.mean()])
     else:
         design = np.column_stack([d.x, np.ones(n)])

@@ -198,12 +198,24 @@ class TestSimulate:
         ("errors = contaminated-normal\nerror_eps = 1.5\n", "error_eps"),
         ("refine_steps = 3\n", "refine_steps"),
         ("sizes = 60\n", "sizes"),
+        ("delta = 1.5\n", "delta"),
+        ("k0 = -1\n", "k0"),
+        ("k1 = 1.0\n", "k1"),
+        ("n_subsamples = 0\n", "n_subsamples"),
+        ("p = 0\nbeta0 =\n", "p"),
+        ("seed = -1\n", "seed"),
+        (f"seed = {2 ** 128}\n", "seed"),
+        ("beta0 = nan\n", "beta0"),
+        ("alpha0 = inf\n", "alpha0"),
     ], ids=["negative-scale", "nan-scale", "zero-outlier-scale", "eps-above-1",
-            "solver-constant", "repeated-key"])
+            "solver-constant", "repeated-key", "delta-above-1", "negative-k0",
+            "k1-below-k0", "no-subsamples", "no-predictors", "negative-seed", "huge-seed",
+            "nan-beta0", "inf-alpha0"])
     def test_bad_scenario_value_exit_3(self, tmp_path, capsys, lines, key):
+        # p = 1 and beta0 = 1.0 are the defaults, so the cases can set them
         bad = tmp_path / "bad.cfg"
-        bad.write_text("kind = contamination\nmodel = linear\np = 1\n"
-                       "beta0 = 1.0\nsizes = 50\nreplications = 1\n" + lines)
+        bad.write_text("kind = contamination\nmodel = linear\n"
+                       "sizes = 50\nreplications = 1\n" + lines)
         assert main(["simulate", "--scenario", str(bad)]) == 3
         assert f"(key: {key})" in capsys.readouterr().err
 

@@ -1,3 +1,4 @@
+import math
 from importlib import resources
 
 import numpy as np
@@ -15,19 +16,80 @@ from robustmm.montecarlo import (SimScenario, load_scenario, make_error_law,
 RHO0 = bisquare(1.5476)
 RHO1 = bisquare(4.685)
 
+#: one parameter set that every law reads a different part of
+LAW_PARAMS = {"scale": 1.3, "shift": -3.0, "eps": 0.1, "outlier_scale": 5.0}
+
+
+def written_out_law(law):
+    """(pdf, cdf, sample, support, plausible_range, symmetric) of ``law``
+    as closed formulas per law name: the reference the table-driven
+    ErrorLaw must reproduce bit for bit."""
+    from scipy import stats
+    name, s, shift, eps, big = law.name, law.scale, law.shift, law.eps, law.outlier_scale
+    root_2pi = math.sqrt(2.0 * math.pi)
+
+    def e(u, loc, scale):
+        z = (u - loc) / scale
+        return np.exp(-0.5 * z * z)
+
+    if name == "normal":
+        return (lambda u: e(u, 0.0, s) / (s * root_2pi),
+                lambda u: stats.norm.cdf(u, scale=s),
+                lambda rng, n: s * rng.standard_normal(n),
+                (-np.inf, np.inf), (-12.0 * s, 12.0 * s), True)
+    if name == "shifted-exponential":
+        lam = 1.0 / s
+        return (lambda u: np.where(u >= shift, lam * np.exp(-lam * (u - shift)), 0.0),
+                lambda u: stats.expon.cdf(u, loc=shift, scale=s),
+                lambda rng, n: shift + rng.exponential(s, n),
+                (shift, np.inf), (shift - 5.0 * s, shift + 25.0 * s), False)
+    if name == "contaminated-normal":
+        def sample(rng, n):
+            mask = rng.random(n) < eps
+            base = rng.standard_normal(n)
+            return np.where(mask, big * base, s * base)
+        width = 12.0 * max(s, big)
+        return (lambda u: ((1 - eps) * e(u, 0.0, s) / (s * root_2pi)
+                           + eps * e(u, 0.0, big) / (big * root_2pi)),
+                lambda u: ((1 - eps) * stats.norm.cdf(u, scale=s)
+                           + eps * stats.norm.cdf(u, scale=big)),
+                sample, (-np.inf, np.inf), (-width, width), True)
+    assert name == "bimodal-normal"
+
+    def sample(rng, n):
+        signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        return signs * shift + s * rng.standard_normal(n)
+    width = 12.0 * s + 3.0 * abs(shift)
+    return (lambda u: 0.5 * (e(u, shift, s) + e(u, -shift, s)) / (s * root_2pi),
+            lambda u: 0.5 * (stats.norm.cdf(u, loc=shift, scale=s)
+                             + stats.norm.cdf(u, loc=-shift, scale=s)),
+            sample, (-np.inf, np.inf), (-width, width), True)
+
 
 class TestErrorLaws:
-    @pytest.mark.parametrize("name,kwargs", [
-        ("normal", {}),
-        ("shifted-exponential", {"shift": -1.0}),
-        ("contaminated-normal", {"eps": 0.1, "outlier_scale": 5.0}),
-        ("bimodal-normal", {"shift": 3.0}),
-    ])
+    @pytest.mark.parametrize("name,kwargs", [(name, LAW_PARAMS) for name in montecarlo._LAWS])
     def test_pdf_integrates_to_one(self, name, kwargs):
         law = make_error_law(name, **kwargs)
         lo, hi = law.plausible_range()
         total, _ = integrate.quad(law.pdf, lo, hi, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("params", [{}, LAW_PARAMS], ids=["defaults", "all-set"])
+    @pytest.mark.parametrize("name", list(montecarlo._LAWS))
+    def test_table_matches_written_out_law(self, name, params):
+        law = make_error_law(name, **params)
+        pdf, cdf, sample, support, window, symmetric = written_out_law(law)
+        lo, hi = law.plausible_range()
+        u = np.concatenate([np.linspace(lo - 5.0, hi + 5.0, 20_001), [law.shift, 0.0]])
+        # bimodal halves are weighted before they are summed, not after
+        pdf_rtol = 4e-16 if name == "bimodal-normal" and law.shift != 0.0 else 0.0
+        for v in (u, *u[::2000]):  # the grid, and scalars as quadrature passes them
+            np.testing.assert_allclose(law.pdf(v), pdf(v), rtol=pdf_rtol, atol=0.0)
+            assert np.array_equal(law.cdf(v), cdf(v))
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        assert np.array_equal(law.sample(rng, 10_000), sample(ref_rng, 10_000))
+        assert rng.random() == ref_rng.random()  # same number of draws taken
+        assert (law.support, (lo, hi), law.symmetric) == (support, window, symmetric)
 
     def test_cdf_matches_pdf(self):
         law = make_error_law("contaminated-normal", eps=0.2, outlier_scale=4.0)
@@ -41,7 +103,7 @@ class TestErrorLaws:
         s = law.sample(rng, 200_000)
         assert s.min() >= 1.0
         assert s.mean() == pytest.approx(3.0, abs=0.02)
-        assert s.var() == pytest.approx(law.variance(), rel=0.02)
+        assert s.var() == pytest.approx(4.0, rel=0.02)
 
     def test_unknown_law(self):
         with pytest.raises(ScenarioError):
