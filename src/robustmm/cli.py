@@ -90,14 +90,12 @@ def cmd_fit(args) -> int:
                          EXIT_INPUT_ERROR)
         model = linear_model(data.p)
         ident = check_identifiability(data).to_dict()
-    elif args.model == "exp":
+    else:
         if data.p != 1:
             return _fail("input", "the exp model takes exactly one predictor column",
                          EXIT_INPUT_ERROR)
         model = exp_model()
         ident = None
-    else:
-        return _fail("input", f"unknown model {args.model!r}", EXIT_INPUT_ERROR)
 
     try:
         cfg = FitConfig(delta=args.delta, rho0=bisquare(args.k0),
@@ -133,11 +131,9 @@ def cmd_fit(args) -> int:
     if ident is not None and ident["at_risk"]:
         report["warnings"].extend(ident["messages"])
 
+    inf = None
     if result.exact_fit:
         report["warnings"].append("exact fit: scale is zero, no covariance available")
-        report["std_errors"] = None
-        report["V"] = None
-        report["constants"] = None
     else:
         try:
             inf = asymptotic_cov(data, model, result, cfg, symmetric=args.symmetric)
@@ -145,17 +141,14 @@ def cmd_fit(args) -> int:
             # the point estimate is still valid; report it with a warning
             report["warnings"].append(
                 f"inference unavailable: singular factor {exc.factor}")
-            report["std_errors"] = None
-            report["V"] = None
-            report["constants"] = None
-            inf = None
-        if inf is not None:
-            report["std_errors"] = inf.std_errors
-            report["V"] = inf.V
-            report["constants"] = inf.constants.to_dict()
-            if args.symmetric:
-                report["V_symmetric"] = inf.V_symmetric
-                report["symmetric_discrepancy"] = inf.symmetric_discrepancy
+    if inf is None:
+        report.update(std_errors=None, V=None, constants=None)
+    else:
+        report.update(std_errors=inf.std_errors, V=inf.V,
+                      constants=inf.constants.to_dict())
+        if args.symmetric:
+            report.update(V_symmetric=inf.V_symmetric,
+                          symmetric_discrepancy=inf.symmetric_discrepancy)
 
     _emit_json(_maybe_meta(report, args.meta), args.out)
     return EXIT_OK
@@ -217,9 +210,9 @@ def cmd_check_rho(args) -> int:
             f = _table_rho(args.table, float(args.k))
         else:
             f = rho_from_config(args.family, args.k)
+        ok = verify_r1(f, args.grid)
     except ValueError as exc:
         return _fail("input", str(exc), EXIT_INPUT_ERROR)
-    ok = verify_r1(f, args.grid)
     status = "pass" if ok else "FAIL"
     print(f"family={f.kind} k={f.k:g} grid={args.grid}")
     print(f"log-concavity of 1 - loss inside (-k, k): {status}")
@@ -229,8 +222,16 @@ def cmd_check_rho(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors, which ``main`` reports in one line
+    with exit code 3; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="robustmm",
         description="Robust S/MM regression fitting, inference and "
                     "simulation verification.")
@@ -277,7 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        return _fail("input", str(exc), EXIT_INPUT_ERROR)
     return args.func(args)
 
 

@@ -3,9 +3,11 @@
 The joint estimate theta = (xi_S, xi_MM, sigma) solves three stacked
 score equations: the MM score equation at the fixed S-scale, the S score
 equation, and the M-scale equation. The S stage minimizes the M-scale of
-the residuals over elemental-subsample candidates refined by iteratively
-reweighted least squares on the scale; the MM stage descends the bounded
-loss objective at the fixed scale, started from the S solution.
+the residuals over elemental-subsample candidates; the MM stage descends
+the bounded loss objective at the fixed scale from the S solution. Both
+refine by one loop, ``_descend``: reweighted least squares with step
+halving. At its IRWLS_MAX_ITER cap an S refinement reports itself
+unconverged, while the MM stage raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -192,66 +194,76 @@ def _quick_refine(d: Dataset, m: RegressionModel, XI: np.ndarray,
     """A fixed number of scale-reweighted least-squares passes over all
     candidates at once. Returns the refined stack and its scales, which
     only need enough accuracy to rank candidates."""
-    refine_tol = 1e-8
-    sigma = np.full(len(XI), np.inf)
-    for _ in range(REFINE_STEPS):
+    for step_no in range(REFINE_STEPS + 1):
         R = _residual_matrix(d, m, XI)
-        sigma, _, _, status = _mscale_batch(R, cfg.rho0, cfg.delta, refine_tol, 150)
-        if np.any(status == 1):          # exact fit found, nothing can beat it
-            return XI, np.where(status == 1, 0.0, sigma)
+        sigma, _, _, status = _mscale_batch(R, cfg.rho0, cfg.delta, 1e-8, 150)
+        sigma = np.where(status == 1, 0.0, sigma)
+        if step_no == REFINE_STEPS or np.any(status == 1):  # exact fits cannot be beaten
+            return XI, sigma
         W = cfg.rho0.weight(R / sigma[:, None])
         for c in range(len(XI)):
             step = _wls_step(_jacobian(d, m, XI[c]), W[c], R[c])
             if step is not None:
                 XI[c] = _project(m, XI[c] + step)
-    R = _residual_matrix(d, m, XI)
-    sigma, _, _, status = _mscale_batch(R, cfg.rho0, cfg.delta, refine_tol, 150)
-    sigma = np.where(status == 1, 0.0, sigma)
-    return XI, sigma
+
+
+def _descend(d: Dataset, m: RegressionModel, rho: RhoFunction, xi: np.ndarray,
+             r: np.ndarray, sigma: float, level: float, slack: float,
+             step_tol: float, update) -> tuple:
+    """The reweighted least-squares descent of the S refinement and the
+    MM stage. Each iteration takes the weighted step of ``rho`` at
+    ``sigma`` from ``xi`` (residuals ``r``) and halves it until the trial
+    passes one loss check, mean rho(|r| / gate) <= level with gate =
+    sigma (1 + slack); ``update(r_trial, that mean, sigma, gate)`` then
+    gives the next (sigma, level). Stops converged on a singular step, a
+    step no halving accepts, sigma = 0 or a step below ``step_tol``
+    relative, and unconverged at IRWLS_MAX_ITER iterations. Returns (xi,
+    sigma, level, iterations, converged)."""
+    loss = _loss_eval(rho)
+    for it in range(1, IRWLS_MAX_ITER + 1):
+        step = _wls_step(_jacobian(d, m, xi), rho.weight(r / sigma), r)
+        if step is None:
+            return xi, sigma, level, it, True
+        gate = sigma * (1.0 + slack)
+        for _ in range(MAX_HALVINGS + 1):
+            trial = _project(m, xi + step)
+            r_trial = residuals(d, m, AugmentedParam.from_array(trial))
+            value = float(loss(np.abs(r_trial) / gate).mean())
+            if value <= level:
+                break
+            step = 0.5 * step
+        else:
+            return xi, sigma, level, it, True
+        moved = np.linalg.norm(trial - xi)
+        sigma, level = update(r_trial, value, sigma, gate)
+        xi, r = trial, r_trial
+        if sigma == 0.0 or moved <= step_tol * (1.0 + np.linalg.norm(xi)):
+            return xi, sigma, level, it, True
+    return xi, sigma, level, IRWLS_MAX_ITER, False
 
 
 def _refine_s_full(d: Dataset, m: RegressionModel, xi: np.ndarray,
                    cfg: FitConfig, step_tol: float) -> tuple[np.ndarray, float, int, bool]:
-    """Iterate scale-reweighted least squares until the parameter step
-    falls below ``step_tol``, halving any step that would increase the
-    scale."""
-    loss = _loss_eval(cfg.rho0)
+    """Descend the M-scale from ``xi``: ``_descend`` on rho0 at level
+    delta, so a trial passes iff its scale is at most the gate, whose
+    slack is the scale solver's own resolution (without it steps would
+    stall before the fixed point); sigma is then re-solved on the warm
+    bracket [sigma / 4, gate]. Returns (xi, sigma, iterations,
+    converged); converged is False at the IRWLS_MAX_ITER cap."""
     solve_tol = max(SCALE_TOL, min(1e-8, step_tol))
     xi = xi.copy()
     r = residuals(d, m, AugmentedParam.from_array(xi))
     sigma = _mscale_scalar(r, cfg.rho0, cfg.delta, solve_tol, SCALE_MAX_ITER)
     if sigma == 0.0:
         return xi, 0.0, 0, True
-    for it in range(1, IRWLS_MAX_ITER + 1):
-        w = cfg.rho0.weight(r / sigma)
-        step = _wls_step(_jacobian(d, m, xi), w, r)
-        if step is None:
-            return xi, sigma, it, True
-        # descent gate: sigma(trial) <= s* iff the mean loss at s* is at
-        # most the scale level, so one loss evaluation decides it; s*
-        # carries a slack of the scale solver's own resolution, or steps
-        # would stall before the fixed point
-        gate = sigma * (1.0 + 10.0 * solve_tol)
-        improved = False
-        for _ in range(MAX_HALVINGS + 1):
-            trial = _project(m, xi + step)
-            r_trial = residuals(d, m, AugmentedParam.from_array(trial))
-            if float(loss(np.abs(r_trial) / gate).mean()) <= cfg.delta:
-                improved = True
-                break
-            step = 0.5 * step
-        if not improved:
-            return xi, sigma, it, True
-        sigma_new = _mscale_scalar(r_trial, cfg.rho0, cfg.delta, solve_tol,
-                                   SCALE_MAX_ITER, lo_init=0.25 * sigma,
-                                   hi_init=gate)
-        moved = np.linalg.norm(trial - xi)
-        xi, sigma, r = trial, sigma_new, r_trial
-        if sigma == 0.0:
-            return xi, 0.0, it, True
-        if moved <= step_tol * (1.0 + np.linalg.norm(xi)):
-            return xi, sigma, it, True
-    return xi, sigma, IRWLS_MAX_ITER, False
+
+    def rescale(r_trial, value, sigma, gate):
+        return _mscale_scalar(r_trial, cfg.rho0, cfg.delta, solve_tol, SCALE_MAX_ITER,
+                              lo_init=0.25 * sigma, hi_init=gate), cfg.delta
+
+    xi, sigma, _, its, converged = _descend(d, m, cfg.rho0, xi, r, sigma, cfg.delta,
+                                            10.0 * solve_tol, step_tol, rescale)
+    return xi, sigma, its, converged
 
 
 def _pick_best(XI: np.ndarray, sigma: np.ndarray) -> int:
@@ -280,15 +292,14 @@ def _fit_s_stage(d: Dataset, m: RegressionModel, cfg: FitConfig):
     XI = np.asarray(cands, dtype=float)
     XI, sigma = _quick_refine(d, m, XI, cfg)
 
-    # two-phase refinement of the best candidates: a coarse pass over all
-    # of them, deduplication of those that reached the same minimum, then
-    # full-tolerance refinement of the distinct representatives
+    # two-phase refinement of the best candidates: a coarse (1e-4) pass over
+    # all of them, deduplication of those that reached the same minimum,
+    # then full-tolerance refinement of the distinct representatives
     order = np.argsort(sigma, kind="stable")[:N_BEST]
-    coarse_tol = 1e-4
     coarse = []
     iters_total = 0
     for c in order:
-        xi_f, s_f, its, _ = _refine_s_full(d, m, XI[c], cfg, coarse_tol)
+        xi_f, s_f, its, _ = _refine_s_full(d, m, XI[c], cfg, 1e-4)
         coarse.append((xi_f, s_f))
         iters_total += its
         if s_f == 0.0:
@@ -302,34 +313,21 @@ def _fit_s_stage(d: Dataset, m: RegressionModel, cfg: FitConfig):
                 break
         else:
             reps.append((xi_f, s_f))
-    refined = []
-    for xi_f, s_f in reps:
-        if s_f == 0.0:
-            refined.append((xi_f, s_f, True))
-            continue
-        xi_r, s_r, its, conv = _refine_s_full(d, m, xi_f, cfg, IRWLS_TOL)
-        refined.append((xi_r, s_r, conv))
-        iters_total += its
-    XI_f = np.asarray([xi for xi, _, _ in refined])
-    sig_f = np.asarray([s for _, s, _ in refined])
-    best = _pick_best(XI_f, sig_f)
+    XI_f, sig_f, its, conv = zip(*(_refine_s_full(d, m, xi_f, cfg, IRWLS_TOL)
+                                   for xi_f, _ in reps))
+    best = _pick_best(np.asarray(XI_f), np.asarray(sig_f))
     xi_best = XI_f[best]
-    exact = sig_f[best] == 0.0
-    converged = refined[best][2]
-    if exact:
-        sigma_hat = 0.0
-    else:
-        sigma_hat = mscale(residuals(d, m, AugmentedParam.from_array(xi_best)),
-                           cfg.rho0, cfg.delta)
-    xi_s = AugmentedParam.from_array(xi_best)
-    return xi_s, sigma_hat, len(cands), iters_total, exact, converged
+    # the certified public solve; 0 on an exact fit, like the refinement
+    sigma_hat = mscale(residuals(d, m, AugmentedParam.from_array(xi_best)),
+                       cfg.rho0, cfg.delta)
+    return (AugmentedParam.from_array(xi_best), sigma_hat, len(cands),
+            iters_total + sum(its), conv[best])
 
 
 def fit_s(d: Dataset, m: RegressionModel, cfg: FitConfig):
     """S-estimate: the candidate minimizing the M-scale of its residuals,
     together with the attained scale. A zero scale flags an exact fit."""
-    xi_s, sigma_hat, _, _, _, _ = _fit_s_stage(d, m, cfg)
-    return xi_s, sigma_hat
+    return _fit_s_stage(d, m, cfg)[:2]
 
 
 def _mm_objective(r: np.ndarray, rho1: RhoFunction, sigma: float) -> float:
@@ -338,42 +336,27 @@ def _mm_objective(r: np.ndarray, rho1: RhoFunction, sigma: float) -> float:
 
 def fit_mm(d: Dataset, m: RegressionModel, cfg: FitConfig, sigma: float,
            start: AugmentedParam) -> AugmentedParam:
-    """MM stage: descend mean rho1(r / sigma) at fixed sigma by reweighted
-    least squares with step halving, starting from the S solution."""
+    """MM stage: descend mean rho1(r / sigma) at fixed sigma from the S
+    solution; raises ConvergenceError, carrying the last iterate, at
+    IRWLS_MAX_ITER iterations."""
     xi, _, _ = _fit_mm_stage(d, m, cfg, sigma, start)
     return xi
 
 
 def _fit_mm_stage(d: Dataset, m: RegressionModel, cfg: FitConfig, sigma: float,
                   start: AugmentedParam):
+    """``_descend`` on rho1 at fixed sigma with the current objective as
+    the level. Returns (xi, iterations, objective)."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    xi = start.as_array().copy()
     r = residuals(d, m, start)
-    obj = _mm_objective(r, cfg.rho1, sigma)
-    for it in range(1, IRWLS_MAX_ITER + 1):
-        w = cfg.rho1.weight(r / sigma)
-        step = _wls_step(_jacobian(d, m, xi), w, r)
-        if step is None:
-            return AugmentedParam.from_array(xi), it, True
-        improved = False
-        for _ in range(MAX_HALVINGS + 1):
-            trial = _project(m, xi + step)
-            r_trial = residuals(d, m, AugmentedParam.from_array(trial))
-            obj_new = _mm_objective(r_trial, cfg.rho1, sigma)
-            if obj_new <= obj:
-                improved = True
-                break
-            step = 0.5 * step
-        if not improved:
-            return AugmentedParam.from_array(xi), it, True
-        moved = np.linalg.norm(trial - xi)
-        xi, obj, r = trial, obj_new, r_trial
-        if moved <= IRWLS_TOL * (1.0 + np.linalg.norm(xi)):
-            return AugmentedParam.from_array(xi), it, True
-    raise ConvergenceError(
-        f"MM stage did not converge in {IRWLS_MAX_ITER} iterations",
-        last=AugmentedParam.from_array(xi))
+    xi, _, obj, its, converged = _descend(
+        d, m, cfg.rho1, start.as_array(), r, sigma, _mm_objective(r, cfg.rho1, sigma),
+        0.0, IRWLS_TOL, lambda r_trial, value, sigma, gate: (sigma, value))
+    if not converged:
+        raise ConvergenceError(f"MM stage did not converge in {IRWLS_MAX_ITER} iterations",
+                               last=AugmentedParam.from_array(xi))
+    return AugmentedParam.from_array(xi), its, obj
 
 
 def _equation_residuals(d: Dataset, m: RegressionModel, cfg: FitConfig,
@@ -394,27 +377,23 @@ def fit(d: Dataset, m: RegressionModel, cfg: FitConfig) -> FitResult:
     """Joint S then MM fit with score-equation certificates.
 
     An exact S fit (zero scale) short-circuits the MM stage: the MM
-    solution is set to the S solution and the result is flagged.
-    ``converged_s`` is False when the full-tolerance refinement of the
-    chosen S candidate stopped at IRWLS_MAX_ITER iterations; the MM
-    stage raises ConvergenceError at that cap.
+    solution is the S solution and the result is flagged. Both stages run
+    ``_descend``; at its IRWLS_MAX_ITER cap ``converged_s`` turns False
+    (for the chosen S candidate's full refinement), while the MM stage
+    raises ConvergenceError.
     """
-    xi_s, sigma, n_cands, iters_s, exact, conv_s = _fit_s_stage(d, m, cfg)
-    if exact or sigma == 0.0:
-        return FitResult(xi_s=xi_s, xi_mm=xi_s, sigma=0.0, objective_s=0.0,
-                         objective_mm=0.0, converged_s=True, converged_mm=True,
-                         iterations_s=iters_s, iterations_mm=0,
-                         candidates_evaluated=n_cands, exact_fit=True,
-                         equation_residuals=(0.0, 0.0, 0.0), certified=False)
-    xi_mm, iters_mm, conv_mm = _fit_mm_stage(d, m, cfg, sigma, xi_s)
-    obj_mm = _mm_objective(residuals(d, m, xi_mm), cfg.rho1, sigma)
-    eqs = _equation_residuals(d, m, cfg, xi_s, xi_mm, sigma)
+    xi_s, sigma, n_cands, iters_s, conv_s = _fit_s_stage(d, m, cfg)
+    exact = sigma == 0.0
+    if exact:
+        xi_mm, iters_mm, obj_mm, eqs = xi_s, 0, 0.0, (0.0, 0.0, 0.0)
+    else:
+        xi_mm, iters_mm, obj_mm = _fit_mm_stage(d, m, cfg, sigma, xi_s)
+        eqs = _equation_residuals(d, m, cfg, xi_s, xi_mm, sigma)
     return FitResult(xi_s=xi_s, xi_mm=xi_mm, sigma=sigma, objective_s=sigma,
-                     objective_mm=obj_mm, converged_s=conv_s, converged_mm=conv_mm,
+                     objective_mm=obj_mm, converged_s=conv_s, converged_mm=True,
                      iterations_s=iters_s, iterations_mm=iters_mm,
-                     candidates_evaluated=n_cands, exact_fit=False,
-                     equation_residuals=eqs,
-                     certified=bool(max(eqs) <= 1e-6))
+                     candidates_evaluated=n_cands, exact_fit=exact,
+                     equation_residuals=eqs, certified=not exact and bool(max(eqs) <= 1e-6))
 
 
 def fit_location(y, cfg: FitConfig) -> FitResult:

@@ -316,6 +316,7 @@ class _Model(NamedTuple):
     build: Callable              # p -> RegressionModel
     design: Callable             # (rng, n, p) -> design matrix
     moments: Optional[Callable]  # p -> (b0, A0) of the predictor gradient; None if unknown
+    width: Optional[int]         # design columns, which p must equal; None: p of them
     defaults: dict               # scenario-file defaults for p and beta0
 
 
@@ -323,11 +324,11 @@ class _Model(NamedTuple):
 #: sampler (standard normal predictors for the linear model)
 _MODELS = {
     "location": _Model(lambda p: location_model(), lambda rng, n, p: np.zeros((n, 0)),
-                       lambda p: (np.zeros(0), np.zeros((0, 0))), {"p": 0, "beta0": ()}),
+                       lambda p: (np.zeros(0), np.zeros((0, 0))), 0, {"p": 0, "beta0": ()}),
     "linear": _Model(linear_model, lambda rng, n, p: rng.standard_normal((n, p)),
-                     lambda p: (np.zeros(p), np.eye(p)), {}),
+                     lambda p: (np.zeros(p), np.eye(p)), None, {}),
     "exp": _Model(lambda p: exp_model(), lambda rng, n, p: rng.uniform(0.0, 2.0, size=(n, 1)),
-                  None, {}),
+                  None, 1, {}),
 }
 
 _DEFAULT_THRESHOLDS = {
@@ -388,11 +389,10 @@ class SimScenario:
             ("seed", 0 <= self.seed < 2 ** 128, "must lie in [0, 2**128)"),
             ("beta0", all(map(math.isfinite, self.beta0)), "must be finite"),
             ("alpha0", math.isfinite(self.alpha0), "must be finite"))
-        try:
-            q = self.q
-        except ValueError as exc:
-            raise ScenarioError(str(exc), key="p") from exc
-        law = self.error_law()
+        width = _MODELS[self.model].width
+        _require(("p", self.p >= 1, "must be at least 1") if width is None else
+                 ("p", self.p == width, f"must be {width} for the {self.model} model"))
+        q, law = self.q, self.error_law()
         _require(("beta0", len(self.beta0) == q, f"must have {q} entries"),
                  ("errors", self.kind != "normality" or law.symmetric,
                   "must be a symmetric law for normality runs"))
@@ -430,6 +430,10 @@ class SimScenario:
 
     def fit_seed(self, index: int) -> int:
         return (self.seed * 1_000_003 + index) % (2 ** 63 - 1)
+
+    def true_xi(self) -> np.ndarray:
+        """The true (beta, alpha)."""
+        return np.concatenate([np.asarray(self.beta0), [self.alpha0]])
 
     def design_moments(self) -> tuple:
         """(b0, A0) of the predictor gradient under the harness design."""
@@ -630,6 +634,12 @@ def _failure_claims(results, scenario) -> tuple:
     return failures, claim
 
 
+def _slope(q: int) -> slice:
+    """The slope coordinates of xi = (beta, alpha): beta, or alpha for
+    the location model (q = 0)."""
+    return slice(0, q or 1)
+
+
 def _law_warnings(scenario: SimScenario) -> tuple:
     if not scenario.error_law().strongly_unimodal:
         return ("error law is not strongly unimodal: uniqueness and "
@@ -649,15 +659,14 @@ def run_consistency(scenario: SimScenario) -> SimReport:
     failures, fail_claim = _failure_claims(results, scenario)
     q = scenario.q
     q1 = q + 1
+    target = scenario.true_xi()[_slope(q)]
 
     medians = []
     for si, n in enumerate(scenario.sizes):
         errs = []
         for r in results:
             if r["size_idx"] == si and not r["failed"]:
-                beta_mm = r["theta"][q1:q1 + q] if q else r["theta"][q1:q1 + 1]
-                target = np.asarray(scenario.beta0) if q else np.asarray(
-                    [scenario.alpha0])
+                beta_mm = r["theta"][q1:2 * q1][_slope(q)]
                 errs.append(float(np.linalg.norm(beta_mm - target)))
         medians.append(float(np.median(errs)) if errs else float("nan"))
 
@@ -796,13 +805,9 @@ def run_normality(scenario: SimScenario) -> SimReport:
                             value=rel, threshold=tol))
 
     # efficiency relative to least squares, slope coordinates at normal errors
-    ls_target = np.concatenate([np.asarray(scenario.beta0),
-                                [scenario.alpha0]]) if q else np.asarray(
-        [scenario.alpha0])
-    ls_scaled = math.sqrt(n) * (ls - ls_target)
-    eff_cols = range(q) if q else range(1)
+    ls_scaled = math.sqrt(n) * (ls - scenario.true_xi())
     eff = float(np.mean([ls_scaled[:, j].var() / scaled[:, j].var()
-                         for j in eff_cols]))
+                         for j in range(q1)[_slope(q)]]))
     target = scenario.thresholds["efficiency_target"]
     etol = scenario.thresholds["efficiency_tol"]
     claims.append(Claim(name="ls_efficiency", passed=bool(abs(eff - target) <= etol),
@@ -852,14 +857,12 @@ def _contamination_task(args):
     d = _generate(scenario, n, rng)
     m = scenario.build_model()
     cfg = scenario.fit_config(scenario.fit_seed(rep))
-    q = scenario.q
-    q1 = q + 1
     try:
         clean = fit(d, m, cfg)
         rep_inf = asymptotic_cov(d, m, clean, cfg)
     except (RobustmmError, np.linalg.LinAlgError) as exc:
         return {"rep": rep, "failed": True, "error": f"{type(exc).__name__}: {exc}"}
-    slope = slice(0, q) if q else slice(0, 1)
+    slope = _slope(m.q)
     clean_slope = clean.xi_mm.as_array()[slope]
     se_norm = float(np.linalg.norm(rep_inf.std_errors[slope]))
 

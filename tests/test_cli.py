@@ -48,6 +48,10 @@ class TestCheckRho:
         table.write_text("\n".join(f"{a},{b}" for a, b in zip(t, vals)))
         assert main(["check-rho", "--k", "2.0", "--table", str(table)]) == 1
 
+    def test_grid_below_3_exit_3(self, capsys):
+        assert main(["check-rho", "--k", "1.5", "--grid", "2"]) == 3
+        assert capsys.readouterr().err == "error: input: grid_size must be at least 3\n"
+
     def test_good_table_passes(self, tmp_path):
         t = np.linspace(-2.0, 2.0, 2001)
         u2 = np.minimum((t / 2.0) ** 2, 1.0)
@@ -56,6 +60,29 @@ class TestCheckRho:
         table.write_text("\n".join(f"{a},{b}" for a, b in zip(t, vals)))
         assert main(["check-rho", "--k", "2.0", "--table", str(table),
                      "--grid", "199"]) == 0
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--input", "data.csv", "--y-col", "y", "--model", "foo"],
+        ["fit", "--input", "data.csv", "--y-col", "y", "--k0", "abc"],
+        ["fit", "--y-col", "y"],
+        ["check-rho", "--k", "1.5", "--grid", "abc"],
+        ["walrus"],
+        [],
+    ], ids=["unknown-model", "bad-k0", "missing-input", "bad-grid", "unknown-command",
+            "no-command"])
+    def test_usage_error_exit_3_one_line(self, argv, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: input: ")
+        assert err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--help"])
+        assert exc.value.code == 0
+        assert "--model" in capsys.readouterr().out
 
 
 class TestFit:
@@ -203,19 +230,22 @@ class TestSimulate:
         ("k1 = 1.0\n", "k1"),
         ("n_subsamples = 0\n", "n_subsamples"),
         ("p = 0\nbeta0 =\n", "p"),
+        ("model = exp\np = 7\nbeta0 = 1.0, 0.5\n", "p"),
+        ("model = location\np = 3\nbeta0 =\n", "p"),
         ("seed = -1\n", "seed"),
         (f"seed = {2 ** 128}\n", "seed"),
         ("beta0 = nan\n", "beta0"),
         ("alpha0 = inf\n", "alpha0"),
     ], ids=["negative-scale", "nan-scale", "zero-outlier-scale", "eps-above-1",
             "solver-constant", "repeated-key", "delta-above-1", "negative-k0",
-            "k1-below-k0", "no-subsamples", "no-predictors", "negative-seed", "huge-seed",
+            "k1-below-k0", "no-subsamples", "no-predictors", "exp-p-not-1",
+            "location-p-not-0", "negative-seed", "huge-seed",
             "nan-beta0", "inf-alpha0"])
     def test_bad_scenario_value_exit_3(self, tmp_path, capsys, lines, key):
-        # p = 1 and beta0 = 1.0 are the defaults, so the cases can set them
+        # model = linear, p = 1 and beta0 = 1.0 are the defaults, so the
+        # cases can set them
         bad = tmp_path / "bad.cfg"
-        bad.write_text("kind = contamination\nmodel = linear\n"
-                       "sizes = 50\nreplications = 1\n" + lines)
+        bad.write_text("kind = contamination\nsizes = 50\nreplications = 1\n" + lines)
         assert main(["simulate", "--scenario", str(bad)]) == 3
         assert f"(key: {key})" in capsys.readouterr().err
 

@@ -174,6 +174,56 @@ class TestFit:
         assert np.array_equal(r1.theta_vector(), r2.theta_vector())
 
 
+class TestStopPolicies:
+    """The S refinement and the MM stage share one descent loop, but act
+    differently at its iteration cap: an S refinement reports itself
+    unconverged, the MM stage raises ConvergenceError."""
+
+    def test_s_refinement_unconverged_at_cap(self, monkeypatch):
+        import robustmm.estimators as est
+        monkeypatch.setattr(est, "IRWLS_MAX_ITER", 2)
+        d = make_linear(np.random.default_rng(11), 80, 2, [1.0, -0.5], 0.3)
+        xi, sigma, its, converged = est._refine_s_full(
+            d, linear_model(2), np.array([5.0, 5.0, -5.0]), CFG, est.IRWLS_TOL)
+        assert (its, converged) == (2, False)
+        assert sigma > 0.0 and np.all(np.isfinite(xi))
+
+    def test_mm_stage_raises_at_cap_with_last_iterate(self, monkeypatch):
+        import robustmm.estimators as est
+        from robustmm.exceptions import ConvergenceError
+        d = make_linear(np.random.default_rng(12), 80, 2, [1.0, -0.5], 0.3)
+        m = linear_model(2)
+        res = fit(d, m, CFG)
+        start = AugmentedParam(res.xi_s.beta + 0.5, res.xi_s.alpha - 0.5)
+        monkeypatch.setattr(est, "IRWLS_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="MM stage") as err:
+            fit_mm(d, m, CFG, res.sigma, start)
+        last = err.value.last
+        assert isinstance(last, AugmentedParam)
+        # the one accepted step descended the objective
+        obj = [est._mm_objective(residuals(d, m, xi), CFG.rho1, res.sigma)
+               for xi in (start, last)]
+        assert obj[1] < obj[0]
+
+    @pytest.mark.parametrize("case", ["linear", "exp", "location"])
+    def test_objective_mm_is_the_objective_at_xi_mm(self, case):
+        from robustmm.estimators import _mm_objective
+        from robustmm.model import location_model
+        rng = np.random.default_rng(13)
+        if case == "linear":
+            d, m = make_linear(rng, 60, 2, [1.0, 2.0], -1.0), linear_model(2)
+        elif case == "exp":
+            x = rng.uniform(0.0, 2.0, size=(80, 1))
+            d = Dataset(x=x, y=2.0 * np.exp(0.5 * x[:, 0]) + 0.1 * rng.normal(size=80))
+            m = exp_model()
+        else:
+            d, m = Dataset(x=np.zeros((50, 0)), y=rng.normal(size=50)), location_model()
+        res = fit(d, m, CFG)
+        assert not res.exact_fit
+        assert res.objective_mm == _mm_objective(residuals(d, m, res.xi_mm),
+                                                 CFG.rho1, res.sigma)
+
+
 class TestFitLocation:
     def test_symmetric_sample_center(self):
         rng = np.random.default_rng(11)
