@@ -20,8 +20,8 @@ import numpy as np
 from .exceptions import ConvergenceError, DomainError, FitError
 from .model import (AugmentedParam, Dataset, RegressionModel,
                     augmented_grad_rows, location_model, residuals)
-from .mscale import (SCALE_MAX_ITER, SCALE_TOL, _loss_eval, _mscale_batch,
-                     _mscale_scalar, mscale, mscale_objective)
+from .mscale import (DECIDE_TOL, SCALE_MAX_ITER, SCALE_TOL, _loss_eval, _mean_loss,
+                     _mscale_batch, _mscale_scalar, mscale, mscale_objective)
 from .rho import (DEFAULT_DELTA, DEFAULT_K0, DEFAULT_K1, RhoFunction,
                   bisquare, verify_r1)
 
@@ -189,22 +189,42 @@ def _project(m: RegressionModel, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rank_scales(R: np.ndarray, prev: np.ndarray, cfg: FitConfig) -> np.ndarray:
+    """Batch M-scales of the rows of R that can rank among the N_BEST
+    smallest, inf for the others (Salibian-Barrera & Yohai 2006). The N_BEST
+    rows with the smallest ``prev`` have roots at or below s_k, the largest
+    upper end of their brackets; a row whose mean rho0(|r| / s_k) exceeds
+    delta + DECIDE_TOL has a larger root. Exact fits always pass; if s_k = 0
+    or a seed has status 2 (its bracket bounds nothing), all rows are kept."""
+    seeds = np.argsort(prev, kind="stable")[:N_BEST]
+    _, _, hi, status = _mscale_batch(R[seeds], cfg.rho0, cfg.delta, 1e-8, 150)
+    keep = slice(None)
+    if hi.max() > 0.0 and not np.any(status == 2):
+        rows, s_k = np.arange(len(R)), np.full(len(R), hi.max())
+        keep = _mean_loss(R, rows, s_k, _loss_eval(cfg.rho0)) - cfg.delta <= DECIDE_TOL
+        keep[seeds] = True
+    sigma, _, _, status = _mscale_batch(R[keep], cfg.rho0, cfg.delta, 1e-8, 150)
+    out = np.full(len(R), np.inf)
+    out[keep] = np.where(status == 1, 0.0, sigma)
+    return out
+
+
 def _quick_refine(d: Dataset, m: RegressionModel, XI: np.ndarray,
                   cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
-    """A fixed number of scale-reweighted least-squares passes over all
-    candidates at once. Returns the refined stack and its scales, which
-    only need enough accuracy to rank candidates."""
-    for step_no in range(REFINE_STEPS + 1):
+    """REFINE_STEPS scale-reweighted least-squares passes over all
+    candidates at once. Returns the refined stack and scales that only rank
+    it: inf for rows that cannot rank among the N_BEST (``_rank_scales``)."""
+    for _ in range(REFINE_STEPS):
         R = _residual_matrix(d, m, XI)
         sigma, _, _, status = _mscale_batch(R, cfg.rho0, cfg.delta, 1e-8, 150)
-        sigma = np.where(status == 1, 0.0, sigma)
-        if step_no == REFINE_STEPS or np.any(status == 1):  # exact fits cannot be beaten
-            return XI, sigma
+        if np.any(status == 1):  # exact fits cannot be beaten
+            return XI, np.where(status == 1, 0.0, sigma)
         W = cfg.rho0.weight(R / sigma[:, None])
         for c in range(len(XI)):
             step = _wls_step(_jacobian(d, m, XI[c]), W[c], R[c])
             if step is not None:
                 XI[c] = _project(m, XI[c] + step)
+    return XI, _rank_scales(_residual_matrix(d, m, XI), sigma, cfg)
 
 
 def _descend(d: Dataset, m: RegressionModel, rho: RhoFunction, xi: np.ndarray,

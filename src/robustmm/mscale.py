@@ -77,6 +77,22 @@ def _loss_eval(rho0: RhoFunction):
 DECIDE_TOL = 1e-12
 #: cap on the regula falsi steps that precede the bisection
 REGULA_FALSI_STEPS = 12
+#: elements per block of a batch loss pass, which then stays in cache
+CHUNK_POINTS = 2 ** 15
+
+
+def _mean_loss(A, rows, s, loss, buf=None):
+    """mean loss(A[rows[i]] / s[i]), in buf in blocks of CHUNK_POINTS elements;
+    add.reduce / n, which is ndarray.mean, sums each row alone, as in one pass."""
+    n = A.shape[1]
+    buf = np.empty((max(1, min(rows.size, CHUNK_POINTS // n)), n)) if buf is None else buf
+    out = np.empty(rows.size)
+    for i in range(0, rows.size, len(buf)):
+        r = rows[i:i + len(buf)]
+        t = np.take(A, r, axis=0, out=buf[:r.size], mode="clip")  # "raise" would buffer
+        t = loss(np.divide(t, s[i:i + r.size, None], out=t))
+        out[i:i + r.size] = np.add.reduce(t, axis=1)
+    return out / n
 
 
 def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float,
@@ -192,13 +208,14 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
     The loss is evaluated only where the answer needs it: during the
     expansion on the rows whose bracket is still bad, during the
     bisection on the rows whose midpoint no earlier point decides
-    (module docstring), always in place in one preallocated (m, n)
-    buffer. In between, up to REGULA_FALSI_STEPS Illinois steps per row
-    place deciding points close to each root on both sides. They step in
-    log sigma because a cold bracket spans about two decades: on the
-    500 x 5000 quick-refine matrices of a 5000-row linear fit a call then
-    takes about 13 loss passes over the matrix, against about 19 with the
-    same steps in sigma and 39 for plain bisection.
+    (module docstring), in place in cache-sized blocks (``_mean_loss``)
+    that leave every row's sum as it is. In between, up to
+    REGULA_FALSI_STEPS Illinois steps per row place deciding points close
+    to each root on both sides. They step in log sigma because a cold
+    bracket spans about two decades: on the 500 x 5000 quick-refine
+    matrices of a 5000-row linear fit a call then takes about 13 loss
+    passes over the matrix, against about 19 with the same steps in sigma
+    and 39 for plain bisection.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[1] == 0:
@@ -222,10 +239,18 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
 
     A = absR if active.all() else absR[active]
     ma = len(A)
+    buf = np.empty((max(1, min(ma, CHUNK_POINTS // n)), n))
     if lo_init is None:
-        med = np.median(A, axis=1)
-        min_pos = np.where(A > 0.0, A, np.inf).min(axis=1)
-        lo_a = np.where(med > 0.0, med, min_pos) / k
+        # np.median bit for bit: its order statistics and (a + b) / 2
+        h, med = n // 2, np.empty(ma)
+        for i in range(0, ma, len(buf)):
+            t = buf[:min(len(buf), ma - i)]
+            np.copyto(t, A[i:i + len(t)])
+            t.partition(h, axis=1)
+            med[i:i + len(t)] = t[:, h] if n % 2 else (t[:, :h].max(axis=1) + t[:, h]) / 2
+        zero = ~(med > 0.0)
+        med[zero] = np.where(A[zero] > 0.0, A[zero], np.inf).min(axis=1)
+        lo_a = med / k
     else:
         lo_a = np.broadcast_to(np.asarray(lo_init, dtype=float), (ma,)).copy()
     if hi_init is None:
@@ -233,17 +258,11 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
     else:
         hi_a = np.broadcast_to(np.asarray(hi_init, dtype=float), (ma,)).copy()
 
-    buf = np.empty_like(A)
     below = np.full(ma, -np.inf)  # sigmas known to lie below / above the root
     above = np.full(ma, np.inf)
 
     def gap(rows, s):
-        # mean rho0(A[rows] / s) - delta, row by row; sum / n is what
-        # ndarray.mean computes, and a row's sum does not depend on which
-        # other rows are evaluated with it; take with mode "clip" writes
-        # straight into buf, where mode "raise" would buffer
-        t = np.take(A, rows, axis=0, out=buf[:rows.size], mode="clip")
-        g = np.add.reduce(loss(np.divide(t, s[:, None], out=t)), axis=1) / n - delta
+        g = _mean_loss(A, rows, s, loss, buf) - delta
         hit = g > DECIDE_TOL
         below[rows[hit]] = np.maximum(below[rows[hit]], s[hit])
         hit = g < -DECIDE_TOL

@@ -307,3 +307,190 @@ class TestRobustness:
         # a rough clean-data standard error for the slope
         se = np.std(y - X[:, 0] * clean.xi_mm.beta[0] - clean.xi_mm.alpha) / np.sqrt(n)
         assert abs(dirty.xi_mm.beta[0] - clean.xi_mm.beta[0]) < 10 * se
+
+
+def _full_last_pass(d, m, XI):
+    """The last quick-refine pass without the screen: every row solved."""
+    import robustmm.estimators as est
+    R = est._residual_matrix(d, m, XI)
+    sigma, _, _, status = est._mscale_batch(R, CFG.rho0, CFG.delta, 1e-8, 150)
+    return np.where(status == 1, 0.0, sigma), status
+
+
+def _quick_refine_inputs(count):
+    """(kind, dataset, model, candidate stack) of every kind in turn."""
+    import robustmm.estimators as est
+    from robustmm.model import location_model
+    rng = np.random.default_rng(71)
+    for i in range(count):
+        kind = ("outliers", "duplicates", "exact", "few", "exp", "tiny")[i % 6]
+        n, p = int(rng.integers(20, 100)), int(rng.integers(1, 4))
+        X = rng.normal(size=(n, p))
+        y = X @ rng.normal(size=p) + rng.standard_t(df=3, size=n)
+        bad = rng.random(n) < 0.2
+        y[bad] += rng.normal(25.0, 5.0, size=bad.sum())
+        d, m, n_sub = Dataset(x=X, y=y), linear_model(p), int(rng.integers(6, 40))
+        if kind == "exact":
+            # a location sample that is constant on most of its points:
+            # candidates that start far enough off reach the exact fit only
+            # in the last pass
+            ne = int(rng.uniform(0.55, 0.8) * n)
+            y = np.concatenate([np.full(ne, 3.0), rng.normal(rng.uniform(5.0, 50.0), 5.0,
+                                                             n - ne)])
+            d, m = Dataset(x=np.zeros((n, 0)), y=y), location_model()
+            yield kind, d, m, 3.0 + rng.normal(0.0, rng.uniform(2.0, 8.0), (40, 1))
+            continue
+        if kind == "exp":
+            x = rng.uniform(0.0, 2.0, size=(n, 1))
+            y = 2.0 * np.exp(0.7 * x[:, 0]) + 0.3 * rng.normal(size=n)
+            y[bad] += 20.0
+            d, m = Dataset(x=x, y=y), exp_model()
+            yield kind, d, m, np.asarray(est._box_candidates(d, m, n_sub, rng))
+            continue
+        if kind == "few":
+            n_sub = int(rng.integers(1, 5))
+        if kind == "tiny":
+            # subnormal residuals: no bracket meets the tolerance (status 2)
+            d, n_sub = Dataset(x=X, y=y * 1e-318), int(rng.integers(2, 9))
+        XI = np.asarray(est._elemental_candidates(d, m, n_sub, rng))
+        if kind == "duplicates":
+            XI = XI[rng.integers(0, len(XI), size=len(XI) + 10)]
+        yield kind, d, m, XI
+
+
+class TestRankingScreen:
+    """The last quick-refine pass only ranks the candidates: it solves the
+    rows that can rank among the N_BEST smallest scales and gives the
+    others inf. The N_BEST best must come out as from solving every row,
+    in the same order."""
+
+    def test_same_ranking_as_the_full_last_pass(self, monkeypatch):
+        import robustmm.estimators as est
+        ranked = []
+        rank = est._rank_scales
+        monkeypatch.setattr(est, "_rank_scales",
+                            lambda R, prev, cfg: ranked.append(rank(R, prev, cfg)) or ranked[-1])
+        seen = dict.fromkeys(("outliers", "duplicates", "exact", "few", "exp", "tiny",
+                              "screened", "exact_above_n_best", "status_2_seed"), 0)
+        for kind, d, m, XI in _quick_refine_inputs(240):
+            ranked.clear()
+            XI, sigma = est._quick_refine(d, m, XI, CFG)
+            want, status = _full_last_pass(d, m, XI)
+            np.testing.assert_array_equal(np.argsort(sigma, kind="stable")[:est.N_BEST],
+                                          np.argsort(want, kind="stable")[:est.N_BEST])
+            if ranked:  # not stopped early by an exact fit
+                seen[kind] += 1
+                seen["screened"] += bool(np.any(np.isinf(sigma)))
+                seen["exact_above_n_best"] += np.count_nonzero(sigma == 0.0) > est.N_BEST
+                seen["status_2_seed"] += bool(np.all(status == 2))
+        assert min(seen.values()) > 0, seen
+
+    def test_every_row_that_can_rank_is_kept(self):
+        import robustmm.estimators as est
+        rng = np.random.default_rng(73)
+        for i in range(60):
+            m, n = int(rng.integers(2, 60)), int(rng.integers(5, 300))
+            R = rng.standard_t(df=2, size=(m, n)) * rng.uniform(0.5, 2.0, size=(m, 1))
+            if i % 3 == 1:
+                R[rng.integers(0, m, size=m // 2)] = R[0]  # duplicate rows
+            if i % 3 == 2:
+                for row in R[rng.random(m) < 0.3]:
+                    row[: int(0.6 * n)] = 0.0  # exact fits
+            got = est._rank_scales(R, rng.uniform(0.5, 2.0, size=m), CFG)
+            sigma, _, _, status = est._mscale_batch(R, CFG.rho0, CFG.delta, 1e-8, 150)
+            want = np.where(status == 1, 0.0, sigma)
+            best = np.sort(want)[min(est.N_BEST, m) - 1]
+            assert np.all(np.isfinite(got[want <= best]))
+            # the kept rows are solved in a smaller batch: within its tolerance
+            kept = np.isfinite(got)
+            assert np.all(np.abs(got[kept] - want[kept]) <= 1.01e-8 * want[kept])
+
+    def test_unbounded_seed_keeps_every_row(self):
+        import robustmm.estimators as est
+        rng = np.random.default_rng(79)
+        R = rng.normal(size=(30, 80)) * rng.uniform(0.5, 20.0, size=(30, 1))
+        R[3] *= 1e-318  # subnormal: its bracket cannot meet the tolerance
+        assert est._mscale_batch(R[3:4], CFG.rho0, CFG.delta, 1e-8, 150)[3][0] == 2
+        prev = np.arange(30.0)
+        prev[3] = 100.0  # not a seed
+        assert np.any(np.isinf(est._rank_scales(R, prev, CFG)))
+        prev[3] = -1.0  # now a seed
+        assert np.all(np.isfinite(est._rank_scales(R, prev, CFG)))
+
+
+def _pinned_linear(seed, n, p, n_sub, outliers=0.2):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    y = X @ np.arange(1.0, p + 1) - 0.5 + rng.normal(size=n)
+    bad = rng.random(n) < outliers
+    y[bad] += rng.normal(30.0, 5.0, size=bad.sum())
+    return fit(Dataset(x=X, y=y), linear_model(p), FitConfig(n_subsamples=n_sub, seed=seed))
+
+
+def _pinned_exp(seed, n, n_sub):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 2.0, size=(n, 1))
+    y = 2.0 * np.exp(0.7 * x[:, 0]) + 0.3 * rng.normal(size=n)
+    y[rng.random(n) < 0.1] += 20.0
+    return fit(Dataset(x=x, y=y), exp_model(), FitConfig(n_subsamples=n_sub, seed=seed))
+
+
+def _pinned_location(seed, n, n_sub):
+    rng = np.random.default_rng(seed)
+    y = rng.standard_t(df=3, size=n) + 4.0
+    y[: n // 10] += 25.0
+    return fit_location(y, FitConfig(n_subsamples=n_sub, seed=seed))
+
+
+def _pinned_exact(seed, n, n_sub):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    y = X @ np.array([1.5, -2.0]) + 0.7
+    y[: n // 5] += rng.normal(10.0, 1.0, size=n // 5)
+    return fit(Dataset(x=X, y=y), linear_model(2), FitConfig(n_subsamples=n_sub, seed=seed))
+
+
+#: theta_vector() of fixed-seed fits whose S refinements all converge, as
+#: the code gave them before the last quick-refine pass was screened
+PINNED = {
+    "linear-p1": (lambda: _pinned_linear(101, 200, 1, 80), [
+        0.9038326243120136, -0.4701567021075067, 0.9576369086075913,
+        -0.5047581120414454, 1.2862532642360907]),
+    "linear-p2": (lambda: _pinned_linear(102, 300, 2, 100), [
+        0.9988859133345879, 2.0121296235813046, -0.6302663297072642,
+        1.0157013569321447, 2.028765834827018, -0.6471235687205523,
+        1.3071329956651883]),
+    "linear-p3": (lambda: _pinned_linear(103, 400, 3, 120), [
+        0.9797536540485727, 2.0923961844992522, 2.9529411926751292,
+        -0.5522176151924328, 1.0242983018847962, 2.061772594702879,
+        3.0556305342074905, -0.5165959847620346, 1.3012981577910265]),
+    "linear-p3-clean": (lambda: _pinned_linear(108, 250, 3, 60, outliers=0.0), [
+        0.9059521323953623, 2.095760329059969, 3.0834598670643105,
+        -0.4626645098947691, 1.0356914380670645, 2.0215701742077634,
+        3.012910564574417, -0.5096737537858506, 0.9768824170232453]),
+    "fewer-subsamples-than-n-best": (lambda: _pinned_linear(104, 150, 2, 3), [
+        0.7498894382408753, 1.9870810056102473, -0.5433674921455394,
+        0.7360322463694882, 2.014875536240017, -0.45262471218868816,
+        1.2069350243888766]),
+    "exp": (lambda: _pinned_exp(105, 200, 80), [
+        1.7436141025464635, 0.7418670679081535, 0.3570112619141709,
+        1.6987393010260434, 0.7567819177429508, 0.4046552447091203,
+        0.2995707967837976]),
+    "location": (lambda: _pinned_location(106, 150, 40), [
+        4.010643213804262, 3.9870587179823334, 1.2425472857265019]),
+    "exact": (lambda: _pinned_exact(107, 60, 40), [
+        1.5, -2.0, 0.7, 1.5, -2.0, 0.7, 0.0]),
+}
+
+
+class TestPinnedAnswers:
+    """Speed-ups of the S search must not move the answer: theta of a few
+    fixed-seed fits stays at its pinned value to 1e-12 relative."""
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_theta_is_pinned(self, case):
+        run, want = PINNED[case]
+        res = run()
+        assert res.converged_s and res.exact_fit == (case == "exact")
+        want = np.asarray(want)
+        assert np.all(np.abs(res.theta_vector() - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))

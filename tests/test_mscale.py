@@ -335,6 +335,13 @@ class TestBatchSolver:
                 for row, zeros in zip(R, rng.integers(0, n + 1, size=m)):
                     row[:zeros] = 0.0  # degenerate once zeros reach 1 - delta
             yield R
+        # loss passes over at least three CHUNK_POINTS blocks, the last
+        # one partial, also after dropping degenerate rows
+        for m, n in ((37, 2501), (40, 2500)):
+            assert m * n > 2 * mscale_module.CHUNK_POINTS
+            R = rng.standard_t(df=3, size=(m, n)) * rng.uniform(0.1, 10.0, size=(m, 1))
+            R[::7, : n // 2 + 1] = 0.0
+            yield R
 
     def test_same_answer_as_plain_bisection(self):
         rng = np.random.default_rng(59)
@@ -352,6 +359,20 @@ class TestBatchSolver:
                     want = plain_batch_bisection(R, RHO, 0.5, tol, 150, lo, hi)
                     assert_same_solve(mscale_module._mscale_batch(
                         R, RHO, 0.5, tol, 150, lo_init=lo, hi_init=hi), want)
+
+    def test_zero_median_rows_in_blocks(self):
+        # at delta = 0.25 a row is degenerate from 75 % zeros on, so rows
+        # with 50-74 % zeros have median 0 and start their bracket from
+        # the smallest positive residual
+        rng = np.random.default_rng(83)
+        R = rng.normal(size=(37, 2501)) * rng.uniform(0.1, 10.0, size=(37, 1))
+        for row, share in zip(R[::4], rng.uniform(0.5, 0.74, size=10)):
+            row[: int(share * row.size) + 1] = 0.0
+        assert np.all(np.median(np.abs(R[::4]), axis=1) == 0.0)
+        for tol in (1e-12, 1e-8):
+            got = mscale_module._mscale_batch(R, RHO, 0.25, tol, 150)
+            assert_same_solve(got, plain_batch_bisection(R, RHO, 0.25, tol, 150))
+            assert np.all(got[3] == 0)
 
     def test_status_two_only_when_tol_missed(self):
         rng = np.random.default_rng(61)
