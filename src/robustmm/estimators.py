@@ -12,6 +12,7 @@ unconverged, while the MM stage raises ConvergenceError.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,6 +39,8 @@ N_BEST = 5
 IRWLS_TOL = 1e-10
 #: iteration cap of a full S refinement and of the MM stage
 IRWLS_MAX_ITER = 200
+#: elements per block of the quick refine's weights and normal equations
+STEP_BLOCK_POINTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -182,10 +185,11 @@ def _wls_step(J: np.ndarray, w: np.ndarray, r: np.ndarray) -> Optional[np.ndarra
 
 
 def _project(m: RegressionModel, xi: np.ndarray) -> np.ndarray:
+    """xi, or a stack of them, with beta clipped into the model's box."""
     if m.bounds is None:
         return xi
     out = xi.copy()
-    out[:m.q] = m.project(out[:m.q])
+    out[..., :m.q] = m.project(out[..., :m.q])
     return out
 
 
@@ -209,21 +213,55 @@ def _rank_scales(R: np.ndarray, prev: np.ndarray, cfg: FitConfig) -> np.ndarray:
     return out
 
 
+def _refine_pass(d: Dataset, m: RegressionModel, XI: np.ndarray, R: np.ndarray,
+                 sigma: np.ndarray, rho: RhoFunction) -> None:
+    """One weighted least-squares step of every candidate, in place, with
+    the weights rho.weight(R / sigma) of each block of STEP_BLOCK_POINTS
+    elements, so no (m, n) weight matrix exists. When the model declares
+    a shared Jacobian J, a block's normal equations are two products,
+    A = W @ K, where K holds the rows' outer products J_i J_i', and
+    b = (W R) @ J, and one stacked solve; other models take ``_wls_step``
+    per candidate. A singular system or a non-finite step leaves its
+    candidate in place."""
+    n, q1 = R.shape[1], m.q + 1
+    size = max(1, STEP_BLOCK_POINTS // n)
+    if m.shared_jacobian:
+        J = _jacobian(d, m, XI[0])
+        K = (J[:, :, None] * J[:, None, :]).reshape(n, q1 * q1)
+    for i in range(0, len(XI), size):
+        W = rho.weight(R[i:i + size] / sigma[i:i + size, None])
+        if not m.shared_jacobian:
+            for c, w in enumerate(W, start=i):
+                step = _wls_step(_jacobian(d, m, XI[c]), w, R[c])
+                if step is not None:
+                    XI[c] = _project(m, XI[c] + step)
+            continue
+        A = (W @ K).reshape(-1, q1, q1)
+        b = np.multiply(W, R[i:i + size], out=W) @ J
+        try:
+            steps = np.linalg.solve(A, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # some system is singular: one by one
+            steps = np.full_like(b, np.nan)
+            for j in range(len(A)):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    steps[j] = np.linalg.solve(A[j], b[j])
+        ok = np.all(np.isfinite(steps), axis=1)
+        blk = XI[i:i + size]
+        blk[ok] = _project(m, blk[ok] + steps[ok])
+
+
 def _quick_refine(d: Dataset, m: RegressionModel, XI: np.ndarray,
                   cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
     """REFINE_STEPS scale-reweighted least-squares passes over all
-    candidates at once. Returns the refined stack and scales that only rank
-    it: inf for rows that cannot rank among the N_BEST (``_rank_scales``)."""
+    candidates at once (``_refine_pass``). Returns the refined stack and
+    scales that only rank it: inf for rows that cannot rank among the
+    N_BEST (``_rank_scales``)."""
     for _ in range(REFINE_STEPS):
         R = _residual_matrix(d, m, XI)
         sigma, _, _, status = _mscale_batch(R, cfg.rho0, cfg.delta, 1e-8, 150)
         if np.any(status == 1):  # exact fits cannot be beaten
             return XI, np.where(status == 1, 0.0, sigma)
-        W = cfg.rho0.weight(R / sigma[:, None])
-        for c in range(len(XI)):
-            step = _wls_step(_jacobian(d, m, XI[c]), W[c], R[c])
-            if step is not None:
-                XI[c] = _project(m, XI[c] + step)
+        _refine_pass(d, m, XI, R, sigma, cfg.rho0)
     return XI, _rank_scales(_residual_matrix(d, m, XI), sigma, cfg)
 
 

@@ -41,7 +41,10 @@ class RegressionModel:
     coefficient vector beta (shape (q,)) and return shapes (n,), (n, q)
     and (n, q, q); each ``hess`` row must be symmetric. ``bounds`` is an
     optional (q, 2) compact box used to generate and project candidates
-    for nonlinear fits. Instances are immutable; evaluation is pure.
+    for nonlinear fits. ``shared_jacobian`` declares that ``grad`` does not
+    depend on beta, as for the linear and location models; the quick
+    refine then builds every candidate's weighted normal equations from
+    one Jacobian. Instances are immutable; evaluation is pure.
     """
 
     name: str
@@ -51,6 +54,7 @@ class RegressionModel:
     hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bounds: Optional[np.ndarray] = None
     certified_derivatives: bool = True
+    shared_jacobian: bool = False
 
     def eval_batch(self, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
         return np.asarray(self.value(X, beta), dtype=float).reshape(len(X))
@@ -131,6 +135,7 @@ def linear_model(p: int) -> RegressionModel:
         value=lambda X, beta: X @ beta,
         grad=lambda X, beta: X,
         hess=lambda X, beta: np.zeros((len(X), p, p)),
+        shared_jacobian=True,
     )
 
 
@@ -142,6 +147,7 @@ def location_model() -> RegressionModel:
         value=lambda X, beta: np.zeros(len(X)),
         grad=lambda X, beta: np.zeros((len(X), 0)),
         hess=lambda X, beta: np.zeros((len(X), 0, 0)),
+        shared_jacobian=True,
     )
 
 
@@ -355,13 +361,16 @@ def load_csv(path, y_col, x_cols=None) -> Dataset:
         if y_idx in x_idx:
             raise ValueError("response column cannot also be a predictor")
 
-    rows = []
-    start = 2 if has_header else 1
-    for i, line in enumerate(data_lines):
-        toks = [tok.strip() for tok in line.split(",")]
-        if len(toks) != ncol:
-            raise ValueError(f"row {start + i}: expected {ncol} fields, got {len(toks)}")
-        rows.append([_parse_cell(toks[j], start + i, j) for j in range(ncol)])
-
-    table = np.asarray(rows, dtype=float)
+    cells = [line.split(",") for line in data_lines]
+    try:
+        table = np.array([[float(tok) for tok in row] for row in cells])
+    except ValueError:  # a cell that is not a number, or a ragged table
+        table = None
+    if table is None or table.shape != (len(cells), ncol) or not np.isfinite(table).all():
+        start = 2 if has_header else 1
+        for i, row in enumerate(cells):  # raise the first error in row order
+            if len(row) != ncol:
+                raise ValueError(f"row {start + i}: expected {ncol} fields, got {len(row)}")
+            for j, tok in enumerate(row):
+                _parse_cell(tok.strip(), start + i, j)
     return Dataset(x=table[:, x_idx], y=table[:, y_idx])

@@ -494,3 +494,91 @@ class TestPinnedAnswers:
         assert res.converged_s and res.exact_fit == (case == "exact")
         want = np.asarray(want)
         assert np.all(np.abs(res.theta_vector() - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def _loop_pass(d, m, XI, R, sigma):
+    """The quick-refine pass one candidate at a time: ``_wls_step`` on each
+    candidate's own weights, the candidate kept where it returns None."""
+    import robustmm.estimators as est
+    W = CFG.rho0.weight(R / sigma[:, None])
+    XI = XI.copy()
+    for c in range(len(XI)):
+        step = est._wls_step(est._jacobian(d, m, XI[c]), W[c], R[c])
+        if step is not None:
+            XI[c] = est._project(m, XI[c] + step)
+    return XI
+
+
+class TestBatchedRefine:
+    """Models that declare a shared Jacobian take the quick-refine steps of
+    all candidates from blocked products and one stacked solve."""
+
+    def _stack(self, kind, rng):
+        import robustmm.estimators as est
+        from robustmm.model import location_model
+        n = 700
+        if kind == "location":
+            y = rng.standard_t(df=3, size=n) + 2.0
+            d, m = Dataset(x=np.zeros((n, 0)), y=y), location_model()
+            XI = 2.0 + rng.normal(0.0, 3.0, size=(60, 1))
+        else:
+            X = rng.normal(size=(n, 3))
+            X[:40] = 0.0  # the rows that make the last candidate's system singular
+            y = X @ np.array([1.0, -2.0, 0.5]) + 0.3 + rng.normal(size=n)
+            y[rng.random(n) < 0.2] += 30.0
+            d, m = Dataset(x=X, y=y), linear_model(3)
+            XI = np.asarray(est._elemental_candidates(d, m, 60, CFG.rng()))
+        R = est._residual_matrix(d, m, XI)
+        sigma = est._mscale_batch(R, CFG.rho0, CFG.delta, 1e-8, 150)[0]
+        # weight only on rows where the Jacobian cannot span: for the
+        # linear model the zero rows of X, for location none at all
+        far = np.full(n, 1e6)
+        if kind == "linear":
+            far[:40] = rng.normal(size=40)
+        R[-1], sigma[-1] = far, 1.0
+        return d, m, XI, R, sigma
+
+    @pytest.mark.parametrize("kind", ["linear", "location"])
+    def test_steps_match_per_candidate_wls(self, kind, monkeypatch):
+        import robustmm.estimators as est
+        rng = np.random.default_rng(83)
+        d, m, XI, R, sigma = self._stack(kind, rng)
+        assert m.shared_jacobian
+        want = _loop_pass(d, m, XI, R, sigma)
+        # small blocks, so that several blocks and a partial last one run
+        monkeypatch.setattr(est, "STEP_BLOCK_POINTS", 7 * d.n)
+        got = XI.copy()
+        est._refine_pass(d, m, got, R, sigma, CFG.rho0)
+        np.testing.assert_array_equal(got[-1], XI[-1])  # singular: kept as it was
+        step_got, step_want = got - XI, want - XI
+        assert np.all(np.linalg.norm(step_got - step_want, axis=1)
+                      <= 1e-10 * np.linalg.norm(step_want, axis=1))
+
+    def test_undeclared_shared_jacobian_agrees(self):
+        import dataclasses
+        rng = np.random.default_rng(89)
+        d = make_linear(rng, 400, 2, [1.0, -1.0], 0.5)
+        y = d.y.copy()
+        y[rng.random(400) < 0.2] += 25.0
+        d = Dataset(x=d.x, y=y)
+        m = linear_model(2)
+        plain = dataclasses.replace(m, shared_jacobian=False)
+        want = fit(d, m, CFG).theta_vector()
+        got = fit(d, plain, CFG).theta_vector()
+        assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
+
+    def test_quick_refine_memory_peak(self):
+        import tracemalloc
+        import robustmm.estimators as est
+        rng = np.random.default_rng(97)
+        d = make_linear(rng, 5000, 5, [1.0, 2.0, -1.0, 0.5, 3.0], 1.0)
+        m = linear_model(5)
+        XI = np.asarray(est._elemental_candidates(d, m, 200, CFG.rng()))
+        matrix = XI.shape[0] * d.n * 8
+        tracemalloc.start()
+        try:
+            est._quick_refine(d, m, XI, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * matrix, peak / matrix

@@ -298,6 +298,36 @@ class TestCsv:
         with pytest.raises(ValueError, match="row 2"):
             load_csv(f, y_col=0)
 
+    def test_bad_cell_before_short_row(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x\n1.0,2.0\n1.0,oops\n3.0\n")
+        with pytest.raises(ValueError, match=r"row 3, column 1: cannot parse 'oops'"):
+            load_csv(f, y_col="y")
+
+    def test_short_row_before_bad_cell(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x\n3.0\n1.0,oops\n")
+        with pytest.raises(ValueError, match="row 2: expected 2 fields, got 1"):
+            load_csv(f, y_col="y")
+
+    def test_every_row_too_long(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        with pytest.raises(ValueError, match="row 2: expected 2 fields, got 3"):
+            load_csv(f, y_col="y")
+
+    def test_inf_cell_named(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("1.0,2.0\n3.0,4.0\n-inf,5.0\n")
+        with pytest.raises(DomainError, match="row 3, column 0: non-finite value '-inf'"):
+            load_csv(f, y_col=0)
+
+    def test_first_of_two_bad_cells_named(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x1,x2\n1.0,2.0,3.0\n1.0,2.0,bad\nnan,2.0,3.0\n")
+        with pytest.raises(ValueError, match="row 3, column 2"):
+            load_csv(f, y_col="y")
+
     def test_quotes_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text('y,x\n"1.0",2.0\n')
