@@ -5,9 +5,11 @@
 For each workload (all three by default) it fits every one of the
 ``N_CASES`` input cases as ``perfbench/make_reference.py`` does, and
 prints, per workload, the largest ``theta_miss`` against
-``perfbench/reference.json`` and the case where it occurs. A single
-benchmark run checks one case; a change to the S search can move theta
-past the tolerance on a case no run happens to pick, and this finds it.
+``perfbench/reference.json`` and the case where it occurs. The miss is
+printed to the last digit, so two checkouts that answer bit for bit
+print the same number. A single benchmark run checks one case; a change
+to the S search can move theta past the tolerance on a case no run
+happens to pick, and this finds it.
 It exits 1 when any miss exceeds ``THETA_TOL``. All three workloads take
 about six minutes on a 2-vCPU machine.
 """
@@ -55,7 +57,7 @@ def main(argv=None) -> int:
         case = int(np.argmax(misses))
         worst = misses[case]
         failed |= worst > THETA_TOL
-        print(f"{name}: largest theta miss {worst:.3g} (case {case}) over {N_CASES} "
+        print(f"{name}: largest theta miss {worst!r} (case {case}) over {N_CASES} "
               f"cases, {time.monotonic() - t0:.0f} s"
               + ("" if worst <= THETA_TOL else f"  ABOVE {THETA_TOL:g}"), flush=True)
     return 1 if failed else 0

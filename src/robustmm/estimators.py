@@ -273,13 +273,15 @@ def _descend(d: Dataset, m: RegressionModel, rho: RhoFunction, xi: np.ndarray,
     ``sigma`` from ``xi`` (residuals ``r``) and halves it until the trial
     passes one loss check, mean rho(|r| / gate) <= level with gate =
     sigma (1 + slack); ``update(r_trial, that mean, sigma, gate)`` then
-    gives the next (sigma, level). Stops converged on a singular step, a
-    step no halving accepts, sigma = 0 or a step below ``step_tol``
-    relative, and unconverged at IRWLS_MAX_ITER iterations. Returns (xi,
-    sigma, level, iterations, converged)."""
+    gives the next (sigma, level). A model with a shared Jacobian has it
+    built once. Stops converged on a singular step, a step no halving
+    accepts, sigma = 0 or a step below ``step_tol`` relative, and
+    unconverged at IRWLS_MAX_ITER iterations. Returns (xi, sigma, level,
+    iterations, converged)."""
     loss = _loss_eval(rho)
+    J = _jacobian(d, m, xi) if m.shared_jacobian else None
     for it in range(1, IRWLS_MAX_ITER + 1):
-        step = _wls_step(_jacobian(d, m, xi), rho.weight(r / sigma), r)
+        step = _wls_step(_jacobian(d, m, xi) if J is None else J, rho.weight(r / sigma), r)
         if step is None:
             return xi, sigma, level, it, True
         gate = sigma * (1.0 + slack)
@@ -306,8 +308,10 @@ def _refine_s_full(d: Dataset, m: RegressionModel, xi: np.ndarray,
     delta, so a trial passes iff its scale is at most the gate, whose
     slack is the scale solver's own resolution (without it steps would
     stall before the fixed point); sigma is then re-solved on the warm
-    bracket [sigma / 4, gate]. Returns (xi, sigma, iterations,
-    converged); converged is False at the IRWLS_MAX_ITER cap."""
+    bracket [sigma / 4, gate], with the gap at the gate that the check
+    has just computed, so the gate costs the solver no loss pass.
+    Returns (xi, sigma, iterations, converged); converged is False at
+    the IRWLS_MAX_ITER cap."""
     solve_tol = max(SCALE_TOL, min(1e-8, step_tol))
     xi = xi.copy()
     r = residuals(d, m, AugmentedParam.from_array(xi))
@@ -317,7 +321,8 @@ def _refine_s_full(d: Dataset, m: RegressionModel, xi: np.ndarray,
 
     def rescale(r_trial, value, sigma, gate):
         return _mscale_scalar(r_trial, cfg.rho0, cfg.delta, solve_tol, SCALE_MAX_ITER,
-                              lo_init=0.25 * sigma, hi_init=gate), cfg.delta
+                              lo_init=0.25 * sigma, hi_init=gate,
+                              hi_gap=value - cfg.delta), cfg.delta
 
     xi, sigma, _, its, converged = _descend(d, m, cfg.rho0, xi, r, sigma, cfg.delta,
                                             10.0 * solve_tol, step_tol, rescale)

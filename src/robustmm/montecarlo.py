@@ -252,16 +252,23 @@ def population_centers(law: ErrorLaw, rho0: RhoFunction, rho1: RhoFunction,
 
     alpha00 minimizes the population scale itself; sigma0 is the attained
     minimum; alpha01 minimizes the expected fine loss at scale sigma0.
-    A bounded scan localizes the coarse center; both centers are then
-    polished to root-finder accuracy through their score equations. For
-    symmetric laws both centers equal the symmetry center.
+    For laws that are symmetric and strongly unimodal both centers equal
+    the symmetry center 0 (Fisher consistency), so the polish starts
+    there. For every other law a bounded scan localizes the coarse center
+    first: a symmetric bimodal law can have its scale minimum off 0.
+    Both centers are then polished to root-finder accuracy through their
+    score equations.
     """
-    lo, hi = law.plausible_range()
-    res0 = optimize.minimize_scalar(lambda t: _scale_at(law, rho0, delta, t),
-                                    bounds=(lo, hi), method="bounded",
-                                    options={"xatol": 1e-9})
-    alpha00 = float(res0.x)
-    sigma0 = float(res0.fun)
+    if law.symmetric and law.strongly_unimodal:
+        alpha00 = 0.0
+        sigma0 = _scale_at(law, rho0, delta, alpha00)
+    else:
+        lo, hi = law.plausible_range()
+        res0 = optimize.minimize_scalar(lambda t: _scale_at(law, rho0, delta, t),
+                                        bounds=(lo, hi), method="bounded",
+                                        options={"xatol": 1e-9})
+        alpha00 = float(res0.x)
+        sigma0 = float(res0.fun)
     # alternate the center's score equation with the scale equation; the
     # coupling is mild so a few sweeps reach quadrature accuracy
     for _ in range(3):

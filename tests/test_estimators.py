@@ -567,6 +567,39 @@ class TestBatchedRefine:
         got = fit(d, plain, CFG).theta_vector()
         assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
 
+    def test_hoisted_jacobian_descends_bit_for_bit(self, monkeypatch):
+        # a declared shared Jacobian is built once per descent, and the
+        # descent is the same as with one Jacobian per iteration
+        import dataclasses
+        import robustmm.estimators as est
+        rng = np.random.default_rng(91)
+        d = make_linear(rng, 300, 2, [1.0, -1.0], 0.5)
+        y = d.y.copy()
+        y[rng.random(300) < 0.2] += 25.0
+        d = Dataset(x=d.x, y=y)
+        m = linear_model(2)
+        plain = dataclasses.replace(m, shared_jacobian=False)
+        built = []
+        jacobian = est._jacobian
+        monkeypatch.setattr(est, "_jacobian", lambda *a: built.append(1) or jacobian(*a))
+        for start in ([0.0, 0.0, 0.0], [5.0, 5.0, -5.0], [1.1, -0.9, 0.4]):
+            for step_tol in (1e-4, est.IRWLS_TOL):
+                built.clear()
+                got = est._refine_s_full(d, m, np.array(start), CFG, step_tol)
+                assert len(built) == 1
+                built.clear()
+                want = est._refine_s_full(d, plain, np.array(start), CFG, step_tol)
+                assert len(built) == want[2]
+                np.testing.assert_array_equal(got[0], want[0])
+                assert got[1:] == want[1:]
+            built.clear()
+            got = est._fit_mm_stage(d, m, CFG, got[1], AugmentedParam.from_array(got[0]))
+            assert len(built) == 1
+            want = est._fit_mm_stage(d, plain, CFG, want[1],
+                                     AugmentedParam.from_array(want[0]))
+            np.testing.assert_array_equal(got[0].as_array(), want[0].as_array())
+            assert got[1:] == want[1:]
+
     def test_quick_refine_memory_peak(self):
         import tracemalloc
         import robustmm.estimators as est

@@ -238,6 +238,31 @@ class TestInfluence:
             influence_mm(np.array([0.1]), 1.0, linear_model(1), np.array([1.0]), bad)
         assert err.value.factor == "a01"
 
+    def test_scale_influence_at_population_constants(self):
+        from scipy import integrate
+        from robustmm.inference import influence_scale
+        from robustmm.montecarlo import make_error_law, population_constants
+        law = make_error_law("normal")
+        c = population_constants(law, RHO0, RHO1, 0.5, np.array([0.3, -0.2]), np.eye(2))
+        m, beta = linear_model(2), np.array([1.0, -1.0])
+        rng = np.random.default_rng(16)
+        for u in np.concatenate([rng.normal(size=20), [0.0, 5.0, -40.0]]):
+            x = rng.normal(size=2)
+            y = float(x @ beta + u)
+            got = influence_scale(x, y, m, beta, c)
+            t_s = (u - c.alpha00) / c.sigma0
+            assert got == pytest.approx(c.sigma0 / c.d0 * (RHO0.rho(t_s) - 0.5),
+                                        rel=1e-12, abs=1e-12)
+            assert got == influence_full(x, y, m, beta, c)[-1]
+        # mean zero under the law: the population scale equation
+        x = np.array([0.4, 0.7])
+        lo, hi = c.alpha00 - RHO0.k * c.sigma0, c.alpha00 + RHO0.k * c.sigma0
+        inside, _ = integrate.quad(
+            lambda u: influence_scale(x, float(x @ beta + u), m, beta, c) * law.pdf(u),
+            lo, hi, limit=200)
+        outside = (c.sigma0 / c.d0 * 0.5) * (law.cdf(lo) + 1.0 - law.cdf(hi))
+        assert abs(inside + outside) <= 1e-8
+
 
 class TestEmpiricalD0:
     def test_matches_closed_form_at_fit(self):

@@ -123,6 +123,35 @@ class TestPopulationCenters:
             assert abs(a01) <= 1e-8
             assert sigma0 > 0
 
+    @pytest.mark.parametrize("law", [make_error_law("normal"),
+                                     make_error_law("contaminated-normal", eps=0.1)])
+    @pytest.mark.parametrize("k0, delta", [(1.5476, 0.5), (2.5, 0.3)])
+    def test_unimodal_shortcut_equals_scan(self, law, k0, delta):
+        # the scan that symmetric, strongly unimodal laws skip, written out
+        from scipy import optimize
+        from robustmm.montecarlo import _center_root, _scale_at
+        rho0 = bisquare(k0)
+        lo, hi = law.plausible_range()
+        res = optimize.minimize_scalar(lambda t: _scale_at(law, rho0, delta, t),
+                                       bounds=(lo, hi), method="bounded",
+                                       options={"xatol": 1e-9})
+        alpha00, sigma0 = float(res.x), float(res.fun)
+        for _ in range(3):
+            alpha00 = _center_root(law, rho0, sigma0, alpha00)
+            sigma0 = _scale_at(law, rho0, delta, alpha00)
+        want = (sigma0, alpha00, _center_root(law, RHO1, sigma0, alpha00))
+        assert population_centers(law, rho0, RHO1, delta) == want
+
+    def test_bimodal_scale_minimum_off_center(self):
+        # symmetric but not unimodal: the population scale is smallest away
+        # from the symmetry center, so the scan must run for this law
+        from robustmm.montecarlo import _scale_at
+        law = make_error_law("bimodal-normal", shift=3.0)
+        assert law.symmetric and not law.strongly_unimodal
+        sigma0, a00, _ = population_centers(law, RHO0, RHO1, 0.5)
+        assert a00 > 1.0
+        assert sigma0 < _scale_at(law, RHO0, 0.5, 0.0) - 1e-3
+
     def test_exact_breakdown_constant_gives_unit_scale(self):
         k0 = k_for_breakdown(0.5)
         law = make_error_law("normal")

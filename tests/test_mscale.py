@@ -242,6 +242,108 @@ class TestScalarSolver:
                                      lo_init=0.25 * root, hi_init=root * (1 + 1e-9))
         assert len(calls) <= 12
 
+    @staticmethod
+    def _gap(r, delta, s):
+        return float(RHO.rho(np.abs(r) / s).mean()) - delta
+
+    def _known_gap_cases(self):
+        """(r, delta, lo, hi, gap at hi): gaps below -DECIDE_TOL, within
+        it and exactly 0, and a root below lo, so that lo is expanded."""
+        for r in self._cases():
+            root = bisect_oracle(r, RHO, 0.5)
+            lo = 0.25 * root
+            for hi in (root * (1 + 1e-9), root * 1.5):  # below -DECIDE_TOL
+                yield r, 0.5, lo, hi, self._gap(r, 0.5, hi)
+            hi = root * (1 + 1e-9)
+            mean = float(RHO.rho(np.abs(r) / hi).mean())
+            # delta that puts the gap at hi within DECIDE_TOL, or at exactly 0
+            yield r, mean + 0.5 * mscale_module.DECIDE_TOL, lo, hi, \
+                self._gap(r, mean + 0.5 * mscale_module.DECIDE_TOL, hi)
+            yield r, mean, lo, hi, self._gap(r, mean, hi)
+            # the root lies below lo, which must be expanded
+            yield r, 0.5, 1.25 * root, 1.5 * root, self._gap(r, 0.5, 1.5 * root)
+
+    def test_known_gap_same_answer_as_plain_bisection(self):
+        kinds = set()
+        for r, delta, lo, hi, g in self._known_gap_cases():
+            assert g <= 0.0
+            kinds.add(-1 if g < -mscale_module.DECIDE_TOL else int(g == 0.0))
+            for tol in (1e-8, 1e-10):
+                assert mscale_module._mscale_scalar(r, RHO, delta, tol, 200, lo_init=lo,
+                                                    hi_init=hi, hi_gap=g) == \
+                    plain_bisection(r, RHO, delta, tol, 200, lo=lo, hi=hi)
+        assert kinds == {-1, 0, 1}
+
+    def test_positive_gap_is_not_trusted(self):
+        # a gap above 0 says hi is below the root; hi is then evaluated and
+        # expanded as if no gap had been given
+        for r in self._cases():
+            root = bisect_oracle(r, RHO, 0.5)
+            lo, hi = 0.1 * root, 0.5 * root
+            assert mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200, lo_init=lo,
+                                                hi_init=hi, hi_gap=self._gap(r, 0.5, hi)) == \
+                plain_bisection(r, RHO, 0.5, self.TOL, 200, lo=lo, hi=hi)
+
+    @staticmethod
+    def _count_loss_calls(monkeypatch):
+        calls = []
+        factory = mscale_module._loss_eval
+
+        def counting(rho0):
+            loss = factory(rho0)
+
+            def ev(t):
+                calls.append(1)
+                return loss(t)
+            return ev
+
+        monkeypatch.setattr(mscale_module, "_loss_eval", counting)
+        return calls
+
+    def test_known_gap_few_loss_calls(self, monkeypatch):
+        # refinement-shaped warm solves: [sigma / 4, sigma (1 + 1e-9)] with
+        # the gap at the upper end known; with both ends evaluated and
+        # regula falsi steps in sigma these took 8.4 calls per solve
+        calls = self._count_loss_calls(monkeypatch)
+        solves = 0
+        for r in self._cases():
+            root = bisect_oracle(r, RHO, 0.5)
+            hi = root * (1 + 1e-9)
+            mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200, lo_init=0.25 * root,
+                                         hi_init=hi, hi_gap=self._gap(r, 0.5, hi))
+            solves += 1
+        assert len(calls) / solves <= 5.0
+        # an upper end within DECIDE_TOL of the root: the probes around it
+        # must decide both sides, however the secant misjudges the slope
+        for r in self._cases():
+            hi = bisect_oracle(r, RHO, 0.5) * (1 + 1e-9)
+            mean = float(RHO.rho(np.abs(r) / hi).mean())
+            for delta in (mean, mean + 0.5 * mscale_module.DECIDE_TOL):
+                calls.clear()
+                mscale_module._mscale_scalar(r, RHO, delta, self.TOL, 200, lo_init=0.25 * hi,
+                                             hi_init=hi, hi_gap=self._gap(r, delta, hi))
+                assert len(calls) <= 8
+
+    def test_lower_end_above_root_few_loss_calls(self, monkeypatch):
+        # the steps start from a bound on the gap at the lower end, not its
+        # value; where the lower end lies above the root they must not run
+        # to the step cap before it is evaluated (that took 48 calls per
+        # warm solve and 34 per cold one at delta 0.9, against 23 and 11
+        # with both ends evaluated first)
+        calls = self._count_loss_calls(monkeypatch)
+        solves = 0
+        for r in self._cases():
+            root = bisect_oracle(r, RHO, 0.5)
+            hi = 1.5 * root
+            mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200, lo_init=1.25 * root,
+                                         hi_init=hi, hi_gap=self._gap(r, 0.5, hi))
+            solves += 1
+        assert len(calls) / solves <= 16.0
+        calls.clear()
+        for r in self._cases():
+            mscale_module._mscale_scalar(r, RHO, 0.9, 1e-8, 200)
+        assert len(calls) / solves <= 16.0
+
 
 def plain_batch_bisection(R, rho0, delta, tol, max_iter, lo_init=None,
                           hi_init=None, loss=None):
