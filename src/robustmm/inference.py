@@ -250,7 +250,7 @@ def closed_form_c0_inv(c: InferenceConstants) -> np.ndarray:
     return out
 
 
-def closed_form_d0(c: InferenceConstants, empty_ok: bool = False) -> np.ndarray:
+def closed_form_d0(c: InferenceConstants) -> np.ndarray:
     """-(1/sigma0) [[a00 C0, 0, e00 b0*], [0, a01 C0, e01 b0*], [0, 0, d0]]."""
     q1 = c.q + 1
     C0 = c.C0

@@ -33,7 +33,8 @@ from scipy import integrate, optimize, special
 
 from .estimators import FitConfig, fit
 from .exceptions import RobustmmError, ScenarioError
-from .inference import InferenceConstants
+from .inference import (InferenceConstants, PsiSystem, asymptotic_cov, closed_form_c0_inv,
+                        closed_form_d0)
 from .model import Dataset, RegressionModel, exp_model, linear_model, location_model
 from .rho import RhoFunction, bisquare
 
@@ -180,19 +181,21 @@ def make_error_law(name, scale=1.0, shift=0.0, eps=0.0, outlier_scale=10.0) -> E
 # ---------------------------------------------------------------------------
 # population quantities by quadrature
 
-def _expect_window(law: ErrorLaw, fn, lo: float, hi: float) -> float:
-    lo = max(lo, law.support[0])
-    hi = min(hi, law.support[1])
+def _window_mean(law: ErrorLaw, fn, t: float, s: float, k: float) -> float:
+    """E fn((u - t)/s) with fn taken as zero outside the window
+    [t - ks, t + ks]; quadrature over the window within the support."""
+    lo = max(t - k * s, law.support[0])
+    hi = min(t + k * s, law.support[1])
     if hi <= lo:
         return 0.0
-    val, _ = integrate.quad(lambda u: fn(u) * law.pdf(u), lo, hi, limit=200)
+    val, _ = integrate.quad(lambda u: fn((u - t) / s) * law.pdf(u), lo, hi, limit=200)
     return val
 
 
 def _expected_rho(law: ErrorLaw, rho: RhoFunction, t: float, s: float) -> float:
     """E rho((u - t)/s): the loss is 1 outside the window [t-ks, t+ks]."""
     k = rho.k
-    inside = _expect_window(law, lambda u: rho.rho((u - t) / s), t - k * s, t + k * s)
+    inside = _window_mean(law, rho.rho, t, s, k)
     lo_mass = law.cdf(t - k * s)
     hi_mass = 1.0 - law.cdf(t + k * s)
     return inside + lo_mass + hi_mass
@@ -218,19 +221,13 @@ def _scale_at(law: ErrorLaw, rho0: RhoFunction, delta: float, t: float) -> float
     return optimize.brentq(gap, lo, hi, xtol=1e-13, rtol=1e-13)
 
 
-def _expected_score(law: ErrorLaw, rho: RhoFunction, t: float, s: float) -> float:
-    k = rho.k
-    return _expect_window(law, lambda u: rho.psi((u - t) / s),
-                          t - k * s, t + k * s)
-
-
 def _center_root(law: ErrorLaw, rho: RhoFunction, s: float, t0: float) -> float:
     """Zero of the expected score in t near t0. The score mean is strictly
     decreasing in t around the minimizer, so this pins the center far more
     precisely than the flat loss minimum itself."""
 
     def gap(t):
-        return _expected_score(law, rho, t, s)
+        return _window_mean(law, rho.psi, t, s, rho.k)
 
     width = 0.5 * s
     lo, hi = t0 - width, t0 + width
@@ -285,18 +282,13 @@ def population_constants(law: ErrorLaw, rho0: RhoFunction, rho1: RhoFunction,
     frame; a true intercept on top of the law shifts only the joint
     parameter, never these moments."""
     sigma0, alpha00, alpha01 = population_centers(law, rho0, rho1, delta)
-
-    def mom(rho, alpha, fn):
-        k = rho.k
-        return _expect_window(law, lambda u: fn((u - alpha) / sigma0),
-                              alpha - k * sigma0, alpha + k * sigma0)
-
+    at0, at1 = (alpha00, sigma0, rho0.k), (alpha01, sigma0, rho1.k)
     return InferenceConstants(
-        a00=mom(rho0, alpha00, rho0.psi_prime),
-        a01=mom(rho1, alpha01, rho1.psi_prime),
-        e00=mom(rho0, alpha00, lambda t: t * rho0.psi_prime(t)),
-        e01=mom(rho1, alpha01, lambda t: t * rho1.psi_prime(t)),
-        d0=mom(rho0, alpha00, lambda t: t * rho0.psi(t)),
+        a00=_window_mean(law, rho0.psi_prime, *at0),
+        a01=_window_mean(law, rho1.psi_prime, *at1),
+        e00=_window_mean(law, lambda t: t * rho0.psi_prime(t), *at0),
+        e01=_window_mean(law, lambda t: t * rho1.psi_prime(t), *at1),
+        d0=_window_mean(law, lambda t: t * rho0.psi(t), *at0),
         b0=b0, A0=A0, sigma0=sigma0,
         alpha00=alpha00, alpha01=alpha01,
         rho0=rho0, rho1=rho1, delta=delta)
@@ -305,15 +297,9 @@ def population_constants(law: ErrorLaw, rho0: RhoFunction, rho1: RhoFunction,
 def _oracle_mm_variance(law: ErrorLaw, c: InferenceConstants) -> np.ndarray:
     """Symmetric-error covariance of the MM block:
     sigma0^2 E psi1^2 / (E psi1')^2 C0^{-1} with C0 from the design."""
-    from .inference import closed_form_c0_inv
-    rho1 = c.rho1
-    k = rho1.k
-    alpha = c.alpha01
-    s = c.sigma0
-    num = _expect_window(law, lambda u: rho1.psi((u - alpha) / s) ** 2,
-                         alpha - k * s, alpha + k * s)
-    factor = s * s * num / c.a01 ** 2
-    return factor * closed_form_c0_inv(c)
+    rho1, s = c.rho1, c.sigma0
+    num = _window_mean(law, lambda t: rho1.psi(t) ** 2, c.alpha01, s, rho1.k)
+    return s * s * num / c.a01 ** 2 * closed_form_c0_inv(c)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +387,13 @@ class SimScenario:
                  ("p", self.p == width, f"must be {width} for the {self.model} model"))
         q, law = self.q, self.error_law()
         _require(("beta0", len(self.beta0) == q, f"must have {q} entries"),
+                 ("sizes", min(self.sizes) >= q + 2,
+                  f"must be at least q + 2 = {q + 2} for {q} slope parameters"),
                  ("errors", self.kind != "normality" or law.symmetric,
-                  "must be a symmetric law for normality runs"))
+                  "must be a symmetric law for normality runs"),
+                 *((key, self.kind != "contamination" or bool(getattr(self, key)),
+                    "must not be empty for contamination runs")
+                   for key in ("contamination_fractions", "outlier_magnitudes")))
         if self.kind in ("expansion", "normality"):
             self.design_moments()
         merged = dict(_DEFAULT_THRESHOLDS[self.kind])
@@ -518,8 +509,7 @@ class Claim:
     detail: str = ""
 
     def to_dict(self):
-        return {"name": self.name, "passed": self.passed, "value": self.value,
-                "threshold": self.threshold, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -543,24 +533,14 @@ class SimReport:
         return True
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "scenario": self.scenario,
-            "passed": self.passed,
-            "claims": [c.to_dict() for c in self.claims],
-            "summary": self.summary,
-            "failures": self.failures,
-            "total_replications": self.total_replications,
-            "warnings": list(self.warnings),
-        }
+        """Every field but the per-replication table, plus the verdict."""
+        out = asdict(self)
+        del out["per_replication"]
+        return {**out, "passed": self.passed}
 
     def csv_rows(self) -> tuple:
         """(header, rows) for the per-replication estimates table."""
-        keys = []
-        for row in self.per_replication:
-            for key in row:
-                if key not in keys:
-                    keys.append(key)
+        keys = list(dict.fromkeys(key for row in self.per_replication for key in row))
         rows = [[row.get(k, "") for k in keys] for row in self.per_replication]
         return keys, rows
 
@@ -633,25 +613,45 @@ def _run_grid(scenario: SimScenario, sizes) -> list:
     return _parallel_map(_fit_task, tasks)
 
 
-def _failure_claims(results, scenario) -> tuple:
-    failures = sum(1 for r in results if r["failed"])
-    rate = failures / max(1, len(results))
-    claim = Claim(name="failure_rate", passed=rate <= scenario.thresholds["max_failure_rate"],
-                  value=rate, threshold=scenario.thresholds["max_failure_rate"])
-    return failures, claim
-
-
 def _slope(q: int) -> slice:
     """The slope coordinates of xi = (beta, alpha): beta, or alpha for
     the location model (q = 0)."""
     return slice(0, q or 1)
 
 
-def _law_warnings(scenario: SimScenario) -> tuple:
-    if not scenario.error_law().strongly_unimodal:
-        return ("error law is not strongly unimodal: uniqueness and "
-                "Fisher-consistency hypotheses violated",)
-    return ()
+def _report(scenario: SimScenario, results, claims, summary, per_rep) -> SimReport:
+    """The run's report: the failure-rate claim over ``results``, then the
+    run's own claims, and a warning when the law breaks the uniqueness
+    hypotheses."""
+    failures = sum(1 for r in results if r["failed"])
+    rate = failures / max(1, len(results))
+    cap = scenario.thresholds["max_failure_rate"]
+    warnings = () if scenario.error_law().strongly_unimodal else (
+        "error law is not strongly unimodal: uniqueness and "
+        "Fisher-consistency hypotheses violated",)
+    return SimReport(kind=scenario.kind, scenario=scenario.to_dict(),
+                     claims=(Claim(name="failure_rate", passed=rate <= cap, value=rate,
+                                   threshold=cap), *claims),
+                     summary=summary, per_replication=tuple(per_rep), failures=failures,
+                     total_replications=len(results), warnings=warnings)
+
+
+def _size_medians(pairs, n_sizes: int) -> list:
+    """Per size index, the median of the values in (size_idx, value)
+    pairs; nan for a size without values."""
+    groups = [[] for _ in range(n_sizes)]
+    for si, value in pairs:
+        groups[si].append(value)
+    return [float(np.median(g)) if g else float("nan") for g in groups]
+
+
+def _theta_rows(results, prefix: str, block: slice = slice(None)) -> list:
+    """Per-replication rows: n, rep, failed and, for a successful fit, the
+    ``block`` of theta as ``prefix_0``, ``prefix_1``, ..."""
+    return [{"n": r["n"], "rep": r["rep"], "failed": r["failed"],
+             **({f"{prefix}_{j}": float(v) for j, v in enumerate(r["theta"][block])}
+                if not r["failed"] else {})}
+            for r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -663,23 +663,16 @@ def run_consistency(scenario: SimScenario) -> SimReport:
     if len(scenario.sizes) < 3:
         raise ScenarioError("consistency runs need at least 3 sizes", key="sizes")
     results = _run_grid(scenario, scenario.sizes)
-    failures, fail_claim = _failure_claims(results, scenario)
     q = scenario.q
     q1 = q + 1
     target = scenario.true_xi()[_slope(q)]
-
-    medians = []
-    for si, n in enumerate(scenario.sizes):
-        errs = []
-        for r in results:
-            if r["size_idx"] == si and not r["failed"]:
-                beta_mm = r["theta"][q1:2 * q1][_slope(q)]
-                errs.append(float(np.linalg.norm(beta_mm - target)))
-        medians.append(float(np.median(errs)) if errs else float("nan"))
+    medians = _size_medians(
+        ((r["size_idx"], float(np.linalg.norm(r["theta"][q1:2 * q1][_slope(q)] - target)))
+         for r in results if not r["failed"]), len(scenario.sizes))
 
     lo = scenario.thresholds["ratio_lo"]
     hi = scenario.thresholds["ratio_hi"]
-    claims = [fail_claim]
+    claims = []
     ratios = []
     for i in range(len(medians) - 1):
         ratio = medians[i + 1] / medians[i]
@@ -688,25 +681,15 @@ def run_consistency(scenario: SimScenario) -> SimReport:
             name=f"median_error_ratio_{scenario.sizes[i]}_to_{scenario.sizes[i + 1]}",
             passed=bool(lo <= ratio <= hi), value=ratio, threshold=[lo, hi]))
 
-    per_rep = tuple(
-        {"n": r["n"], "rep": r["rep"], "failed": r["failed"],
-         **({f"theta_{j}": float(v) for j, v in enumerate(r["theta"])}
-            if not r["failed"] else {})}
-        for r in results)
     summary = {"sizes": list(scenario.sizes), "median_slope_error": medians,
                "ratios": ratios}
-    return SimReport(kind="consistency", scenario=scenario.to_dict(),
-                     claims=tuple(claims), summary=summary,
-                     per_replication=per_rep, failures=failures,
-                     total_replications=len(results),
-                     warnings=_law_warnings(scenario))
+    return _report(scenario, results, claims, summary, _theta_rows(results, "theta"))
 
 
 def _population_theta(scenario: SimScenario):
     """True joint parameter and its closed-form expected Jacobian, via the
     quadrature oracles. The constants live in the error-law frame; the
     joint parameter adds the scenario's true intercept to both centers."""
-    from .inference import closed_form_d0
     law = scenario.error_law()
     b0, A0 = scenario.design_moments()
     cfg = scenario.fit_config(0)
@@ -726,17 +709,13 @@ def run_expansion_check(scenario: SimScenario) -> SimReport:
     leftover must shrink with n and be small relative to the leading term
     at the largest size.
     """
-    from .inference import PsiSystem
     consts, theta0, D0 = _population_theta(scenario)
     m = scenario.build_model()
     cfg = scenario.fit_config(0)
     system = PsiSystem(m, cfg.rho0, cfg.rho1, scenario.delta)
 
     results = _run_grid(scenario, scenario.sizes)
-    failures, fail_claim = _failure_claims(results, scenario)
-
-    rem_norms = {si: [] for si in range(len(scenario.sizes))}
-    lead_norms = {si: [] for si in range(len(scenario.sizes))}
+    rem_norms, total_norms = [], []
     per_rep = []
     for r in results:
         row = {"n": r["n"], "rep": r["rep"], "failed": r["failed"]}
@@ -749,18 +728,16 @@ def run_expansion_check(scenario: SimScenario) -> SimReport:
             lead = math.sqrt(n) * infl_mean
             total = math.sqrt(n) * (r["theta"] - theta0)
             rem = total - lead
-            rem_norms[r["size_idx"]].append(float(np.linalg.norm(rem)))
-            lead_norms[r["size_idx"]].append(float(np.linalg.norm(total)))
             row["remainder_norm"] = float(np.linalg.norm(rem))
             row["scaled_error_norm"] = float(np.linalg.norm(total))
+            rem_norms.append((r["size_idx"], row["remainder_norm"]))
+            total_norms.append((r["size_idx"], row["scaled_error_norm"]))
         per_rep.append(row)
 
-    med_rem = [float(np.median(rem_norms[si])) if rem_norms[si] else float("nan")
-               for si in range(len(scenario.sizes))]
-    med_tot = [float(np.median(lead_norms[si])) if lead_norms[si] else float("nan")
-               for si in range(len(scenario.sizes))]
+    med_rem = _size_medians(rem_norms, len(scenario.sizes))
+    med_tot = _size_medians(total_norms, len(scenario.sizes))
 
-    claims = [fail_claim]
+    claims = []
     insufficient = scenario.replications < 2
     if insufficient:
         claims.append(Claim(name="expansion_remainder", passed=None,
@@ -777,11 +754,7 @@ def run_expansion_check(scenario: SimScenario) -> SimReport:
     summary = {"sizes": list(scenario.sizes), "median_remainder": med_rem,
                "median_scaled_error": med_tot,
                "theta0": [float(v) for v in theta0]}
-    return SimReport(kind="expansion", scenario=scenario.to_dict(),
-                     claims=tuple(claims), summary=summary,
-                     per_replication=tuple(per_rep), failures=failures,
-                     total_replications=len(results),
-                     warnings=_law_warnings(scenario))
+    return _report(scenario, results, claims, summary, per_rep)
 
 
 def run_normality(scenario: SimScenario) -> SimReport:
@@ -797,14 +770,22 @@ def run_normality(scenario: SimScenario) -> SimReport:
     xi0 = theta0[q1:2 * q1]
 
     results = _run_grid(scenario, (n,))
-    failures, fail_claim = _failure_claims(results, scenario)
+    per_rep = _theta_rows(results, "xi_mm", slice(q1, 2 * q1))
+    summary = {"n": n, "empirical_cov": None, "oracle_cov": V_oracle.tolist(),
+               "efficiency_empirical": None, "quantile_stats": None,
+               "theta0": [float(v) for v in theta0]}
+    ok = [r for r in results if not r["failed"]]
+    if len(ok) < 2:
+        claims = [Claim(name="normality", passed=None, value=len(ok), threshold=2,
+                        detail="insufficient replications")]
+        return _report(scenario, results, claims, summary, per_rep)
 
-    mm = np.array([r["theta"][q1:2 * q1] for r in results if not r["failed"]])
-    ls = np.array([r["ls"] for r in results if not r["failed"]])
+    mm = np.array([r["theta"][q1:2 * q1] for r in ok])
+    ls = np.array([r["ls"] for r in ok])
     scaled = math.sqrt(n) * (mm - xi0)
     emp_cov = scaled.T @ scaled / len(scaled)
 
-    claims = [fail_claim]
+    claims = []
     tol = scenario.thresholds["variance_rel_tol"]
     for j in range(q1):
         rel = abs(emp_cov[j, j] - V_oracle[j, j]) / V_oracle[j, j]
@@ -822,8 +803,7 @@ def run_normality(scenario: SimScenario) -> SimReport:
 
     # quantile comparison of each standardized coordinate
     deciles = np.arange(0.1, 0.91, 0.1)
-    from scipy import stats
-    z = stats.norm.ppf(deciles)
+    z = special.ndtri(deciles)
     qtol = scenario.thresholds["quantile_tol"]
     qstats = []
     for j in range(q1):
@@ -834,30 +814,14 @@ def run_normality(scenario: SimScenario) -> SimReport:
     claims.append(Claim(name="quantile_normality", passed=bool(worst <= qtol),
                         value=qstats, threshold=qtol))
 
-    per_rep = tuple(
-        {"n": r["n"], "rep": r["rep"], "failed": r["failed"],
-         **({f"xi_mm_{j}": float(v) for j, v in
-             enumerate(r["theta"][q1:2 * q1])} if not r["failed"] else {})}
-        for r in results)
-    summary = {
-        "n": n,
-        "empirical_cov": emp_cov.tolist(),
-        "oracle_cov": V_oracle.tolist(),
-        "efficiency_empirical": eff,
-        "quantile_stats": qstats,
-        "theta0": [float(v) for v in theta0],
-    }
-    return SimReport(kind="normality", scenario=scenario.to_dict(),
-                     claims=tuple(claims), summary=summary,
-                     per_replication=per_rep, failures=failures,
-                     total_replications=len(results),
-                     warnings=_law_warnings(scenario))
+    summary.update(empirical_cov=emp_cov.tolist(), efficiency_empirical=eff,
+                   quantile_stats=qstats)
+    return _report(scenario, results, claims, summary, per_rep)
 
 
 def _contamination_task(args):
     """One replication of the contamination sweep: a clean fit plus a
     refit for every (fraction, magnitude) pair, sharing the clean data."""
-    from .inference import asymptotic_cov
     scenario, rep = args
     n = scenario.sizes[0]
     rng = scenario.stream(rep)
@@ -902,10 +866,9 @@ def run_contamination(scenario: SimScenario) -> SimReport:
                             key="contamination_fractions")
     tasks = [(scenario, rep) for rep in range(scenario.replications)]
     results = _parallel_map(_contamination_task, tasks)
-    failures, fail_claim = _failure_claims(results, scenario)
     ok = [r for r in results if not r["failed"]]
 
-    claims = [fail_claim]
+    claims = []
     per_rep = []
     worst_multiple = 0.0
     mags = sorted(scenario.outlier_magnitudes)
@@ -941,11 +904,7 @@ def run_contamination(scenario: SimScenario) -> SimReport:
                             detail=detail))
     summary = {"n": scenario.sizes[0], "worst_se_multiple": worst_multiple,
                "worst_magnitude_growth": growth_worst}
-    return SimReport(kind="contamination", scenario=scenario.to_dict(),
-                     claims=tuple(claims), summary=summary,
-                     per_replication=tuple(per_rep), failures=failures,
-                     total_replications=len(results),
-                     warnings=_law_warnings(scenario))
+    return _report(scenario, results, claims, summary, per_rep)
 
 
 _RUNNERS = {

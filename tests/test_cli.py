@@ -287,6 +287,36 @@ class TestSimulate:
     def test_missing_scenario_exit_3(self):
         assert main(["simulate", "--scenario", "/nope.cfg"]) == 3
 
+    def test_sizes_below_q_plus_2_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "small.cfg"
+        bad.write_text("kind = consistency\nmodel = linear\np = 4\n"
+                       "beta0 = 1.0, 1.0, 1.0, 1.0\nsizes = 5, 10, 20\nreplications = 1\n")
+        assert main(["simulate", "--scenario", str(bad)]) == 3
+        assert "(key: sizes)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["contamination_fractions", "outlier_magnitudes"])
+    def test_empty_contamination_sweep_exit_3(self, tmp_path, capsys, key):
+        bad = tmp_path / "empty.cfg"
+        bad.write_text(f"kind = contamination\nsizes = 50\nreplications = 1\n{key} =\n")
+        assert main(["simulate", "--scenario", str(bad)]) == 3
+        assert f"(key: {key})" in capsys.readouterr().err
+
+    def test_normality_single_replication_strict_json(self, tmp_path):
+        scen = tmp_path / "one-rep.cfg"
+        scen.write_text("kind = normality\nmodel = location\np = 0\nbeta0 =\n"
+                        "sizes = 60\nreplications = 1\nn_subsamples = 10\n")
+        out = tmp_path / "rep.json"
+        # undecided, so not a pass
+        assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["passed"] is None
+        claims = {c["name"]: c for c in report["claims"]}
+        assert claims["normality"]["detail"] == "insufficient replications"
+
     def test_location_normal_bundled(self, tmp_path):
         out = tmp_path / "rep.json"
         code = main(["simulate", "--scenario", str(scenario_path("location-normal.cfg")),

@@ -1,3 +1,4 @@
+import json
 import math
 from importlib import resources
 
@@ -292,6 +293,26 @@ class TestScenario:
             SimScenario(**{**SMALL, **overrides})
         assert err.value.key == key
 
+    def test_sizes_below_q_plus_2_rejected(self):
+        # 4 slopes and an intercept: a fit needs q + 2 = 6 observations
+        with pytest.raises(ScenarioError) as err:
+            SimScenario(kind="consistency", model="linear", p=4, beta0=(1.0,) * 4,
+                        sizes=(5, 10, 20))
+        assert err.value.key == "sizes"
+        assert "q + 2 = 6" in str(err.value)
+        SimScenario(kind="consistency", model="linear", p=4, beta0=(1.0,) * 4,
+                    sizes=(6, 12, 24))
+
+    @pytest.mark.parametrize("key", ["contamination_fractions", "outlier_magnitudes"])
+    def test_empty_contamination_sweep_rejected(self, key):
+        base = dict(kind="contamination", model="linear", p=1, beta0=(1.0,),
+                    sizes=(50,), replications=1)
+        with pytest.raises(ScenarioError) as err:
+            SimScenario(**base, **{key: ()})
+        assert err.value.key == key
+        # only a contamination run sweeps
+        SimScenario(**{**SMALL, key: ()})
+
 
 SMALL = dict(kind="consistency", model="linear", p=1, beta0=(2.0,), alpha0=0.0,
              errors="normal", sizes=(40, 160, 640), replications=6, seed=9,
@@ -371,6 +392,33 @@ class TestRunners:
     def test_run_scenario_dispatch(self):
         rep = run_scenario(SimScenario(**SMALL))
         assert rep.kind == "consistency"
+
+    NORMALITY = dict(kind="normality", model="location", p=0, beta0=(),
+                     errors="normal", sizes=(60,), replications=1, seed=3,
+                     n_subsamples=10)
+
+    def test_normality_single_replication_undecided(self):
+        rep = montecarlo.run_normality(SimScenario(**self.NORMALITY))
+        assert rep.passed is None
+        assert [c.name for c in rep.claims] == ["failure_rate", "normality"]
+        claim = rep.claims[1]
+        assert claim.passed is None and claim.value == 1
+        assert claim.detail == "insufficient replications"
+        assert rep.summary["efficiency_empirical"] is None
+        json.dumps(rep.to_json_dict(), allow_nan=False)
+
+    def test_normality_counts_successful_fits(self, monkeypatch):
+        grid = montecarlo._run_grid
+
+        def all_failed(scenario, sizes):
+            return [{**r, "failed": True, "error": "forced"} for r in grid(scenario, sizes)]
+
+        monkeypatch.setattr(montecarlo, "_run_grid", all_failed)
+        rep = montecarlo.run_normality(SimScenario(**{**self.NORMALITY, "replications": 3}))
+        assert rep.passed is False
+        assert rep.failures == 3
+        assert rep.claims[1].passed is None and rep.claims[1].value == 0
+        json.dumps(rep.to_json_dict(), allow_nan=False)
 
 
 class TestWorkerCount:
