@@ -121,8 +121,9 @@ class FitResult:
 # candidate generation
 
 def _elemental_candidates(d: Dataset, m: RegressionModel, n_sub: int,
-                          rng: np.random.Generator) -> list[np.ndarray]:
-    """Exact-fit solutions of seeded size-(q+1) subsamples (linear path)."""
+                          rng: np.random.Generator) -> np.ndarray:
+    """(C, q+1) exact-fit solutions of seeded size-(q+1) subsamples,
+    singular ones dropped (linear path)."""
     size = m.q + 1
     out = []
     for _ in range(n_sub):
@@ -134,23 +135,20 @@ def _elemental_candidates(d: Dataset, m: RegressionModel, n_sub: int,
             continue
         if np.all(np.isfinite(xi)):
             out.append(xi)
-    return out
+    return np.asarray(out, dtype=float).reshape(len(out), size)
 
 
 def _box_candidates(d: Dataset, m: RegressionModel, n_sub: int,
-                    rng: np.random.Generator) -> list[np.ndarray]:
-    """Random coefficient draws inside the model's compact box, with the
-    intercept set to the median residual (nonlinear path)."""
-    lo, hi = m.bounds[:, 0], m.bounds[:, 1]
-    out = []
-    for _ in range(n_sub):
-        beta = rng.uniform(lo, hi)
-        fitted = m.eval_batch(d.x, beta)
-        if not np.all(np.isfinite(fitted)):
-            continue
-        alpha = float(np.median(d.y - fitted))
-        out.append(np.concatenate([beta, [alpha]]))
-    return out
+                    rng: np.random.Generator) -> np.ndarray:
+    """(C, q+1) random coefficient draws inside the model's compact box,
+    with the intercept set to the median residual; draws with a
+    non-finite model value are dropped (nonlinear path)."""
+    B = rng.uniform(m.bounds[:, 0], m.bounds[:, 1], size=(n_sub, m.q))
+    fitted = m.eval_batch(d.x, B)
+    ok = np.all(np.isfinite(fitted), axis=1)
+    R = fitted[ok]
+    alpha = np.median(np.subtract(d.y, R, out=R), axis=1, overwrite_input=True)
+    return np.column_stack([B[ok], alpha])
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +156,17 @@ def _box_candidates(d: Dataset, m: RegressionModel, n_sub: int,
 
 def _residual_matrix(d: Dataset, m: RegressionModel, XI: np.ndarray) -> np.ndarray:
     """(C, n) residuals for a stack of candidate parameters."""
-    R = np.empty((len(XI), d.n))
-    for c, xi in enumerate(XI):
-        R[c] = d.y - m.eval_batch(d.x, xi[:m.q]) - xi[m.q]
+    R = m.eval_batch(d.x, XI[:, :m.q])
+    np.subtract(d.y, R, out=R)
+    R -= XI[:, m.q, None]
     return R
 
 
 def _jacobian(d: Dataset, m: RegressionModel, xi: np.ndarray) -> np.ndarray:
-    """(n, q+1) augmented gradient rows at the flat parameter xi."""
-    return augmented_grad_rows(m, d.x, AugmentedParam.from_array(xi))
+    """(n, q+1) augmented gradient rows at the flat parameter xi, or
+    (C, n, q+1) at a (C, q+1) stack."""
+    G = m.grad_rows(d.x, xi[..., :m.q])
+    return np.concatenate([G, np.ones(G.shape[:-1] + (1,))], axis=-1)
 
 
 def _wls_step(J: np.ndarray, w: np.ndarray, r: np.ndarray) -> Optional[np.ndarray]:
@@ -202,12 +202,13 @@ def _rank_scales(R: np.ndarray, prev: np.ndarray, cfg: FitConfig) -> np.ndarray:
     or a seed has status 2 (its bracket bounds nothing), all rows are kept."""
     seeds = np.argsort(prev, kind="stable")[:N_BEST]
     _, _, hi, status = _mscale_batch(R[seeds], cfg.rho0, cfg.delta, 1e-8, 150)
-    keep = slice(None)
+    keep = np.ones(len(R), dtype=bool)  # R[keep] is a copy, which the solve overwrites
     if hi.max() > 0.0 and not np.any(status == 2):
         rows, s_k = np.arange(len(R)), np.full(len(R), hi.max())
         keep = _mean_loss(R, rows, s_k, _loss_eval(cfg.rho0)) - cfg.delta <= DECIDE_TOL
         keep[seeds] = True
-    sigma, _, _, status = _mscale_batch(R[keep], cfg.rho0, cfg.delta, 1e-8, 150)
+    sigma, _, _, status = _mscale_batch(R[keep], cfg.rho0, cfg.delta, 1e-8, 150,
+                                        overwrite_input=True)
     out = np.full(len(R), np.inf)
     out[keep] = np.where(status == 1, 0.0, sigma)
     return out
@@ -216,28 +217,31 @@ def _rank_scales(R: np.ndarray, prev: np.ndarray, cfg: FitConfig) -> np.ndarray:
 def _refine_pass(d: Dataset, m: RegressionModel, XI: np.ndarray, R: np.ndarray,
                  sigma: np.ndarray, rho: RhoFunction) -> None:
     """One weighted least-squares step of every candidate, in place, with
-    the weights rho.weight(R / sigma) of each block of STEP_BLOCK_POINTS
-    elements, so no (m, n) weight matrix exists. When the model declares
-    a shared Jacobian J, a block's normal equations are two products,
-    A = W @ K, where K holds the rows' outer products J_i J_i', and
-    b = (W R) @ J, and one stacked solve; other models take ``_wls_step``
-    per candidate. A singular system or a non-finite step leaves its
-    candidate in place."""
+    the weights rho.weight(R / sigma) of one block of candidates at a
+    time, so no (m, n) weight matrix exists. With a shared Jacobian J, a
+    block of STEP_BLOCK_POINTS elements has A = W @ K, where K holds the
+    rows' outer products J_i J_i', and b = (W R) @ J; other models stack
+    a block's Jacobians, STEP_BLOCK_POINTS elements of them, and take the
+    products of ``_wls_step`` slice by slice. One stacked solve follows.
+    A singular system or a non-finite step leaves its candidate in place."""
     n, q1 = R.shape[1], m.q + 1
-    size = max(1, STEP_BLOCK_POINTS // n)
     if m.shared_jacobian:
         J = _jacobian(d, m, XI[0])
         K = (J[:, :, None] * J[:, None, :]).reshape(n, q1 * q1)
+        size = max(1, STEP_BLOCK_POINTS // n)
+    else:
+        size = max(1, STEP_BLOCK_POINTS // (n * q1))
     for i in range(0, len(XI), size):
-        W = rho.weight(R[i:i + size] / sigma[i:i + size, None])
-        if not m.shared_jacobian:
-            for c, w in enumerate(W, start=i):
-                step = _wls_step(_jacobian(d, m, XI[c]), w, R[c])
-                if step is not None:
-                    XI[c] = _project(m, XI[c] + step)
-            continue
-        A = (W @ K).reshape(-1, q1, q1)
-        b = np.multiply(W, R[i:i + size], out=W) @ J
+        blk, Rb = XI[i:i + size], R[i:i + size]
+        W = rho.weight(Rb / sigma[i:i + size, None])
+        if m.shared_jacobian:
+            A = (W @ K).reshape(-1, q1, q1)
+            b = np.multiply(W, Rb, out=W) @ J
+        else:
+            Jb = _jacobian(d, m, blk)
+            JwT = (Jb * W[..., None]).transpose(0, 2, 1)
+            A = JwT @ Jb
+            b = (JwT @ Rb[..., None])[..., 0]
         try:
             steps = np.linalg.solve(A, b[..., None])[..., 0]
         except np.linalg.LinAlgError:  # some system is singular: one by one
@@ -246,7 +250,6 @@ def _refine_pass(d: Dataset, m: RegressionModel, XI: np.ndarray, R: np.ndarray,
                 with contextlib.suppress(np.linalg.LinAlgError):
                     steps[j] = np.linalg.solve(A[j], b[j])
         ok = np.all(np.isfinite(steps), axis=1)
-        blk = XI[i:i + size]
         blk[ok] = _project(m, blk[ok] + steps[ok])
 
 
@@ -262,6 +265,7 @@ def _quick_refine(d: Dataset, m: RegressionModel, XI: np.ndarray,
         if np.any(status == 1):  # exact fits cannot be beaten
             return XI, np.where(status == 1, 0.0, sigma)
         _refine_pass(d, m, XI, R, sigma, cfg.rho0)
+        del R  # so the next residual matrix does not coexist with it
     return XI, _rank_scales(_residual_matrix(d, m, XI), sigma, cfg)
 
 
@@ -346,13 +350,13 @@ def _fit_s_stage(d: Dataset, m: RegressionModel, cfg: FitConfig):
         raise ValueError(f"need at least q + 2 = {m.q + 2} observations, got {d.n}")
     rng = cfg.rng()
     if m.bounds is None:
-        cands = _elemental_candidates(d, m, cfg.n_subsamples, rng)
+        XI = _elemental_candidates(d, m, cfg.n_subsamples, rng)
+        cause = "every subsample was singular"
     else:
-        cands = _box_candidates(d, m, cfg.n_subsamples, rng)
-    if not cands:
-        raise FitError("no usable candidate: every subsample was singular")
-
-    XI = np.asarray(cands, dtype=float)
+        XI = _box_candidates(d, m, cfg.n_subsamples, rng)
+        cause = "every draw in the box gave a non-finite model value"
+    if not len(XI):
+        raise FitError(f"no usable candidate: {cause}")
     XI, sigma = _quick_refine(d, m, XI, cfg)
 
     # two-phase refinement of the best candidates: a coarse (1e-4) pass over
@@ -383,7 +387,7 @@ def _fit_s_stage(d: Dataset, m: RegressionModel, cfg: FitConfig):
     # the certified public solve; 0 on an exact fit, like the refinement
     sigma_hat = mscale(residuals(d, m, AugmentedParam.from_array(xi_best)),
                        cfg.rho0, cfg.delta)
-    return (AugmentedParam.from_array(xi_best), sigma_hat, len(cands),
+    return (AugmentedParam.from_array(xi_best), sigma_hat, len(XI),
             iters_total + sum(its), conv[best])
 
 

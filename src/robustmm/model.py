@@ -39,12 +39,15 @@ class RegressionModel:
 
     ``value``, ``grad`` and ``hess`` take the (n, p) design X and a
     coefficient vector beta (shape (q,)) and return shapes (n,), (n, q)
-    and (n, q, q); each ``hess`` row must be symmetric. ``bounds`` is an
-    optional (q, 2) compact box used to generate and project candidates
-    for nonlinear fits. ``shared_jacobian`` declares that ``grad`` does not
-    depend on beta, as for the linear and location models; the quick
-    refine then builds every candidate's weighted normal equations from
-    one Jacobian. Instances are immutable; evaluation is pure.
+    and (n, q, q); each ``hess`` row must be symmetric. ``value`` and
+    ``grad`` also take a stack of vectors, shape (..., q), and return
+    (..., n) and (..., n, q), each slice as for its own beta; ``value``
+    returns a new array. ``bounds`` is an optional (q, 2) compact box
+    used to generate and project candidates for nonlinear fits.
+    ``shared_jacobian`` declares that ``grad`` does not depend on beta,
+    as for the linear and location models; the quick refine then builds
+    every candidate's weighted normal equations from one Jacobian.
+    Instances are immutable; evaluation is pure.
     """
 
     name: str
@@ -57,10 +60,12 @@ class RegressionModel:
     shared_jacobian: bool = False
 
     def eval_batch(self, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        return np.asarray(self.value(X, beta), dtype=float).reshape(len(X))
+        shape = np.shape(beta)[:-1] + (len(X),)
+        return np.asarray(self.value(X, beta), dtype=float).reshape(shape)
 
     def grad_rows(self, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad(X, beta), dtype=float).reshape(len(X), self.q)
+        shape = np.shape(beta)[:-1] + (len(X), self.q)
+        return np.asarray(self.grad(X, beta), dtype=float).reshape(shape)
 
     def project(self, beta: np.ndarray) -> np.ndarray:
         """Clip beta into the bounds box (identity when unbounded)."""
@@ -132,8 +137,9 @@ def linear_model(p: int) -> RegressionModel:
     return RegressionModel(
         name="linear",
         q=p,
-        value=lambda X, beta: X @ beta,
-        grad=lambda X, beta: X,
+        # a stacked gemv: each slice equals X @ beta bit for bit
+        value=lambda X, beta: (X @ beta[..., None])[..., 0],
+        grad=lambda X, beta: np.broadcast_to(X, beta.shape[:-1] + X.shape),
         hess=lambda X, beta: np.zeros((len(X), p, p)),
         shared_jacobian=True,
     )
@@ -144,8 +150,8 @@ def location_model() -> RegressionModel:
     return RegressionModel(
         name="location",
         q=0,
-        value=lambda X, beta: np.zeros(len(X)),
-        grad=lambda X, beta: np.zeros((len(X), 0)),
+        value=lambda X, beta: np.zeros(np.shape(beta)[:-1] + (len(X),)),
+        grad=lambda X, beta: np.zeros(np.shape(beta)[:-1] + (len(X), 0)),
         hess=lambda X, beta: np.zeros((len(X), 0, 0)),
         shared_jacobian=True,
     )
@@ -159,11 +165,13 @@ def exp_model(bounds: Sequence[Sequence[float]] = ((-100.0, 100.0), (-4.0, 4.0))
     """
 
     def value(X, beta):
-        return beta[0] * np.exp(beta[1] * X[:, 0])
+        # in place, so a stack of C vectors needs one (C, n) array
+        g = np.multiply(beta[..., 1, None], X[:, 0])
+        return np.multiply(beta[..., 0, None], np.exp(g, out=g), out=g)
 
     def grad(X, beta):
-        e = np.exp(beta[1] * X[:, 0])
-        return np.column_stack([e, beta[0] * X[:, 0] * e])
+        e = np.exp(beta[..., 1, None] * X[:, 0])
+        return np.stack([e, beta[..., 0, None] * X[:, 0] * e], axis=-1)
 
     def hess(X, beta):
         x = X[:, 0]
@@ -184,24 +192,26 @@ def fd_model(name: str, q: int, value, bounds=None, h: float = 1e-6) -> Regressi
     Gradient and Hessian come from central differences over the whole
     design, which is fine for fitting but degrades the accuracy of the
     expected-Jacobian matrix, so the model is marked as not certified for
-    inference.
+    inference. A stack of coefficient vectors is evaluated one by one.
     """
     if q < 1:
         raise ValueError("fd_model needs at least one coefficient")
 
     def value_rows(X, beta):
-        return np.array([value(x, beta) for x in X], dtype=float)
+        beta = np.asarray(beta, dtype=float)
+        out = [[value(x, b) for x in X] for b in beta.reshape(-1, q)]
+        return np.array(out, dtype=float).reshape(beta.shape[:-1] + (len(X),))
 
     def central(fn, X, beta):
         """Central differences of fn over the coefficients, stacked on
-        a new second axis."""
+        a new last axis."""
         beta = np.asarray(beta, dtype=float)
         cols = []
         for j in range(q):
             e = np.zeros(q)
             e[j] = h
             cols.append((fn(X, beta + e) - fn(X, beta - e)) / (2.0 * h))
-        return np.stack(cols, axis=1)
+        return np.stack(cols, axis=-1)
 
     def grad(X, beta):
         return central(value_rows, X, beta)
@@ -230,7 +240,7 @@ def residuals(d: Dataset, m: RegressionModel, xi: AugmentedParam) -> np.ndarray:
 def augmented_grad_rows(m: RegressionModel, X: np.ndarray, xi: AugmentedParam) -> np.ndarray:
     """(n, q+1) gradients of g(x_i, beta) + alpha in xi: (grad_beta g, 1)."""
     G = m.grad_rows(X, xi.beta)
-    return np.column_stack([G, np.ones(len(X))])
+    return np.concatenate([G, np.ones(G.shape[:-1] + (1,))], axis=-1)
 
 
 def augmented_hess_rows(m: RegressionModel, X: np.ndarray, xi: AugmentedParam) -> np.ndarray:

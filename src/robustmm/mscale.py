@@ -241,7 +241,8 @@ def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float,
 
 
 def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
-                  tol: float, max_iter: int, lo_init=None, hi_init=None):
+                  tol: float, max_iter: int, lo_init=None, hi_init=None,
+                  overwrite_input: bool = False):
     """M-scale of every row of a residual matrix.
 
     Returns (sigma, lo, hi, status) arrays; status 0 = the row's bracket
@@ -259,6 +260,8 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
     same sigma as ``_mscale_scalar`` bit for bit. ``lo_init``/``hi_init``
     are warm bracket guesses; they are expanded whenever they do not
     straddle the root, so a bad guess costs iterations, never correctness.
+    With ``overwrite_input`` the absolute residuals are taken in R itself,
+    which saves an R-sized copy.
 
     The loss is evaluated only where the answer needs it: during the
     expansion on the rows whose bracket is still bad, during the
@@ -278,7 +281,7 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
     if R.ndim != 2 or R.shape[1] == 0:
         raise ValueError("expected a nonempty 2-d residual matrix")
     m, n = R.shape
-    absR = np.abs(R)
+    absR = np.abs(R, out=R if overwrite_input else None)
     k = rho0.k
     loss = _loss_eval(rho0)
 

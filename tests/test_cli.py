@@ -236,11 +236,13 @@ class TestSimulate:
         (f"seed = {2 ** 128}\n", "seed"),
         ("beta0 = nan\n", "beta0"),
         ("alpha0 = inf\n", "alpha0"),
+        ("contamination_fractions = 0.1, -0.1\n", "contamination_fractions"),
+        ("delta = 0.6\ncontamination_fractions = 0.1, 0.4\n", "contamination_fractions"),
     ], ids=["negative-scale", "nan-scale", "zero-outlier-scale", "eps-above-1",
             "solver-constant", "repeated-key", "delta-above-1", "negative-k0",
             "k1-below-k0", "no-subsamples", "no-predictors", "exp-p-not-1",
             "location-p-not-0", "negative-seed", "huge-seed",
-            "nan-beta0", "inf-alpha0"])
+            "nan-beta0", "inf-alpha0", "negative-fraction", "fraction-at-1-minus-delta"])
     def test_bad_scenario_value_exit_3(self, tmp_path, capsys, lines, key):
         # model = linear, p = 1 and beta0 = 1.0 are the defaults, so the
         # cases can set them

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from robustmm import (AugmentedParam, Dataset, FitConfig, bisquare, fit,
+from robustmm import (AugmentedParam, Dataset, FitConfig, bisquare, fd_model, fit,
                       fit_location, fit_mm, fit_s, linear_model, exp_model,
                       mscale, residuals)
+from robustmm.exceptions import FitError
 from robustmm.mscale import mscale_objective
 
 from gridoracle import grid_location_oracle, grid_mm_oracle, grid_s_oracle
@@ -309,6 +310,60 @@ class TestRobustness:
         assert abs(dirty.xi_mm.beta[0] - clean.xi_mm.beta[0]) < 10 * se
 
 
+def _box_loop(d, m, n_sub, rng):
+    """Box candidates one draw at a time, as the search drew them before
+    it was batched."""
+    lo, hi = m.bounds[:, 0], m.bounds[:, 1]
+    out = []
+    for _ in range(n_sub):
+        beta = rng.uniform(lo, hi)
+        fitted = m.eval_batch(d.x, beta)
+        if not np.all(np.isfinite(fitted)):
+            continue
+        out.append(np.concatenate([beta, [float(np.median(d.y - fitted))]]))
+    return np.asarray(out, dtype=float).reshape(len(out), m.q + 1)
+
+
+def _exp_row(x, b):
+    return float(b[0] * np.exp(b[1] * x[0]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestCandidates:
+    """The batched candidate draws equal the one-at-a-time draws."""
+
+    @pytest.mark.parametrize("n", [41, 60])
+    @pytest.mark.parametrize("x_max", [2.0, 300.0])  # at 300 some draws overflow
+    def test_box_candidates_equal_per_draw_loop(self, n, x_max):
+        import robustmm.estimators as est
+        rng = np.random.default_rng(101)
+        x = rng.uniform(0.0, x_max, size=(n, 1))
+        y = 2.0 * np.exp(0.7 * np.minimum(x[:, 0], 2.0)) + rng.normal(size=n)
+        d = Dataset(x=x, y=y)
+        for m in (exp_model(), fd_model("exp-fd", 2, _exp_row, bounds=exp_model().bounds)):
+            got = est._box_candidates(d, m, 50, FitConfig(seed=n).rng())
+            want = _box_loop(d, m, 50, FitConfig(seed=n).rng())
+            assert np.array_equal(got, want)
+            assert (len(got) < 50) == (x_max > 100.0)
+
+    def test_all_non_finite_box(self):
+        import robustmm.estimators as est
+        x = np.linspace(250.0, 300.0, 30)[:, None]
+        d = Dataset(x=x, y=np.ones(30))
+        m = exp_model(bounds=((1.0, 2.0), (3.0, 4.0)))
+        got = est._box_candidates(d, m, 20, CFG.rng())
+        assert got.shape == (0, 3) and _box_loop(d, m, 20, CFG.rng()).shape == (0, 3)
+        with pytest.raises(FitError, match="non-finite model value"):
+            fit(d, m, CFG)
+
+    def test_all_singular_subsamples(self):
+        import robustmm.estimators as est
+        d = Dataset(x=np.ones((30, 1)), y=np.arange(30.0))
+        assert est._elemental_candidates(d, linear_model(1), 20, CFG.rng()).shape == (0, 2)
+        with pytest.raises(FitError, match="every subsample was singular"):
+            fit(d, linear_model(1), CFG)
+
+
 def _full_last_pass(d, m, XI):
     """The last quick-refine pass without the screen: every row solved."""
     import robustmm.estimators as est
@@ -511,7 +566,9 @@ def _loop_pass(d, m, XI, R, sigma):
 
 class TestBatchedRefine:
     """Models that declare a shared Jacobian take the quick-refine steps of
-    all candidates from blocked products and one stacked solve."""
+    all candidates from blocked products and one stacked solve; other
+    models stack their blocks' Jacobians and take the steps of
+    ``_wls_step`` bit for bit."""
 
     def _stack(self, kind, rng):
         import robustmm.estimators as est
@@ -553,6 +610,33 @@ class TestBatchedRefine:
         step_got, step_want = got - XI, want - XI
         assert np.all(np.linalg.norm(step_got - step_want, axis=1)
                       <= 1e-10 * np.linalg.norm(step_want, axis=1))
+
+    @pytest.mark.parametrize("kind", ["exp", "fd"])
+    def test_stacked_steps_equal_wls_bit_for_bit(self, kind, monkeypatch):
+        import robustmm.estimators as est
+        rng = np.random.default_rng(87)
+        n = 700 if kind == "exp" else 150
+        x = rng.uniform(0.0, 2.0, size=(n, 1))
+        x[:40] = 0.0  # the rows that make the last candidate's system singular
+        y = 2.0 * np.exp(0.7 * x[:, 0]) + 0.5 + 0.3 * rng.normal(size=n)
+        y[rng.random(n) < 0.1] += 20.0
+        d = Dataset(x=x, y=y)
+        m = exp_model() if kind == "exp" else fd_model("exp-fd", 2, _exp_row,
+                                                       bounds=exp_model().bounds)
+        assert not m.shared_jacobian
+        XI = est._box_candidates(d, m, 60, CFG.rng())
+        R = est._residual_matrix(d, m, XI)
+        sigma = est._mscale_batch(R, CFG.rho0, CFG.delta, 1e-8, 150)[0]
+        # weight only on the rows x = 0, where (e, b1 x e, 1) spans one direction
+        R[-1], sigma[-1] = np.where(x[:, 0] == 0.0, rng.normal(size=n), 1e6), 1.0
+        want = _loop_pass(d, m, XI, R, sigma)
+        # small blocks, so that several blocks and a partial last one run
+        monkeypatch.setattr(est, "STEP_BLOCK_POINTS", 7 * d.n * (m.q + 1))
+        got = XI.copy()
+        est._refine_pass(d, m, got, R, sigma, CFG.rho0)
+        assert np.array_equal(got[-1], XI[-1])  # singular: kept as it was
+        assert np.count_nonzero(np.any(got != XI, axis=1)) == len(XI) - 1
+        assert np.array_equal(got, want)
 
     def test_undeclared_shared_jacobian_agrees(self):
         import dataclasses
@@ -607,6 +691,26 @@ class TestBatchedRefine:
         d = make_linear(rng, 5000, 5, [1.0, 2.0, -1.0, 0.5, 3.0], 1.0)
         m = linear_model(5)
         XI = np.asarray(est._elemental_candidates(d, m, 200, CFG.rng()))
+        matrix = XI.shape[0] * d.n * 8
+        tracemalloc.start()
+        try:
+            est._quick_refine(d, m, XI, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * matrix, peak / matrix
+
+    def test_exp_quick_refine_memory_peak(self):
+        # a block's stacked Jacobians stay within STEP_BLOCK_POINTS
+        # elements, and no two residual matrices of the passes coexist
+        import tracemalloc
+        import robustmm.estimators as est
+        rng = np.random.default_rng(99)
+        x = rng.uniform(0.0, 2.0, size=(5000, 1))
+        y = 2.0 * np.exp(0.7 * x[:, 0]) + 0.3 * rng.normal(size=5000)
+        y[rng.random(5000) < 0.1] += 20.0
+        d, m = Dataset(x=x, y=y), exp_model()
+        XI = est._box_candidates(d, m, 200, CFG.rng())
         matrix = XI.shape[0] * d.n * 8
         tracemalloc.start()
         try:

@@ -200,6 +200,34 @@ class TestBatchContract:
             assert np.allclose(H[:, j], col_fd, rtol=tol, atol=tol)
 
 
+class TestStackedBeta:
+    """``eval_batch`` and ``grad_rows`` on a stack of coefficient vectors
+    give each vector's own call, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("lead", [(9,), (2, 3), (0,)])
+    def test_stack_equals_per_beta_calls(self, name, lead):
+        make, p, beta, _ = MODELS[name]
+        m = make()
+        rng = np.random.default_rng(32)
+        X = rng.uniform(-1, 2, size=(11, p))
+        B = beta + rng.uniform(-1, 1, size=lead + (m.q,))
+        G, J = m.eval_batch(X, B), m.grad_rows(X, B)
+        assert G.shape == lead + (11,) and J.shape == lead + (11, m.q)
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(G[idx], m.eval_batch(X, B[idx]))
+            assert np.array_equal(J[idx], m.grad_rows(X, B[idx]))
+
+
+    def test_linear_slices_equal_plain_product(self):
+        m = linear_model(4)
+        rng = np.random.default_rng(34)
+        X, B = rng.normal(size=(50, 4)), rng.normal(size=(7, 4))
+        G = m.eval_batch(X, B)
+        for c in range(7):
+            assert np.array_equal(G[c], X @ B[c])
+
+
 class TestFdModel:
     def test_matches_analytic_derivatives(self):
         ref = exp_model()

@@ -383,6 +383,60 @@ class TestRunners:
                 kind="contamination", model="linear", p=1, beta0=(1.0,),
                 sizes=(50,), replications=1, contamination_fractions=(0.55,)))
 
+    @pytest.mark.parametrize("fractions", [(-0.1,), (0.1, 0.5), (math.nan,)],
+                             ids=["negative", "at-1-minus-delta", "nan"])
+    def test_contamination_fraction_checked_at_construction(self, fractions):
+        base = dict(kind="contamination", model="linear", p=1, beta0=(1.0,),
+                    sizes=(50,), replications=1)
+        with pytest.raises(ScenarioError) as err:
+            SimScenario(**base, contamination_fractions=fractions)
+        assert err.value.key == "contamination_fractions"
+        SimScenario(**base, contamination_fractions=(0.0, 0.49))
+        # only a contamination run sweeps
+        SimScenario(**{**SMALL, "contamination_fractions": fractions})
+
+    @staticmethod
+    def _failing_grid(monkeypatch, failed):
+        """Make _run_grid report the fits where failed(size_idx, rep) as failed."""
+        grid = montecarlo._run_grid
+
+        def run_grid(scenario, sizes):
+            return [{**r, "failed": True, "error": "forced"}
+                    if failed(r["size_idx"], r["rep"]) else r for r in grid(scenario, sizes)]
+
+        monkeypatch.setattr(montecarlo, "_run_grid", run_grid)
+
+    @pytest.mark.parametrize("failed,decided", [
+        (lambda si, rep: si == 0, False),
+        (lambda si, rep: si == 1 and rep > 0, False),
+        (lambda si, rep: si == 1 and rep == 2, True),
+    ], ids=["size-all-failed", "size-one-fit", "size-two-fits"])
+    def test_expansion_counts_successful_fits_per_size(self, monkeypatch, failed, decided):
+        self._failing_grid(monkeypatch, failed)
+        s = SimScenario(kind="expansion", model="location", p=0, beta0=(),
+                        errors="normal", sizes=(50, 100), replications=3,
+                        seed=4, n_subsamples=10)
+        rep = run_expansion_check(s)
+        names = [c.name for c in rep.claims]
+        if decided:
+            assert names == ["failure_rate", "remainder_decreasing",
+                             "remainder_ratio_at_largest_n"]
+        else:
+            assert names == ["failure_rate", "expansion_remainder"]
+            assert rep.claims[1].passed is None
+            assert rep.claims[1].detail == "insufficient replications"
+        med = rep.summary["median_remainder"]
+        assert (med[0] is None) == failed(0, 0) and med[1] is not None
+        json.dumps(rep.to_json_dict(), allow_nan=False)
+
+    def test_consistency_size_without_fits_is_undecided(self, monkeypatch):
+        self._failing_grid(monkeypatch, lambda si, rep: si == 1)
+        rep = run_consistency(SimScenario(**SMALL))
+        assert rep.summary["median_slope_error"][1] is None
+        assert rep.summary["ratios"] == [None, None]
+        assert [c.passed for c in rep.claims[1:]] == [None, None]
+        json.dumps(rep.to_json_dict(), allow_nan=False)
+
     def test_bimodal_law_warns(self):
         s = SimScenario(**{**SMALL, "errors": "bimodal-normal",
                            "error_shift": 2.0})
