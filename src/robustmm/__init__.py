@@ -6,14 +6,12 @@ functions, sandwich standard errors and a Monte Carlo harness that
 checks the estimators' asymptotic behavior at desk scale.
 """
 
-from .estimators import FitConfig, FitResult, fit, fit_location, fit_mm, fit_s
+from .estimators import FitConfig, FitResult, fit, fit_mm, fit_s
 from .exceptions import (ConvergenceError, DomainError, FitError,
                          RobustmmError, ScenarioError, SingularityError)
 from .inference import (InferenceConstants, InferenceReport, PsiSystem,
                         asymptotic_cov, closed_form_c0_inv, closed_form_d0,
-                        closed_form_d0_inv, influence_full, influence_location,
-                        influence_mm, influence_s, influence_scale,
-                        plugin_constants)
+                        closed_form_d0_inv, influence_full, plugin_constants)
 from .model import (AugmentedParam, Dataset, RegressionModel,
                     check_identifiability, exp_model, fd_model, linear_model,
                     load_csv, location_model, residuals)
@@ -34,9 +32,8 @@ __all__ = [
     "RegressionModel", "RhoFunction", "RobustmmError",
     "ScenarioError", "SingularityError", "asymptotic_cov", "bisquare",
     "check_identifiability", "closed_form_c0_inv", "closed_form_d0",
-    "closed_form_d0_inv", "custom_rho", "exp_model", "fd_model", "fit", "fit_location",
-    "fit_mm", "fit_s", "influence_full", "influence_location", "influence_mm",
-    "influence_s", "influence_scale", "k_for_breakdown", "k_for_efficiency",
+    "closed_form_d0_inv", "custom_rho", "exp_model", "fd_model", "fit",
+    "fit_mm", "fit_s", "influence_full", "k_for_breakdown", "k_for_efficiency",
     "linear_model", "load_csv", "load_scenario", "location_model", "mscale",
     "mscale_objective", "plugin_constants", "residuals", "rho_from_config",
     "run_consistency", "run_contamination", "run_expansion_check",

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,7 @@ def _jsonify(obj):
 
 
 def _emit_json(payload: dict, out_path) -> None:
-    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:
@@ -89,7 +90,7 @@ def cmd_fit(args) -> int:
             return _fail("input", "linear model needs at least one predictor column",
                          EXIT_INPUT_ERROR)
         model = linear_model(data.p)
-        ident = check_identifiability(data).to_dict()
+        ident = asdict(check_identifiability(data))
     else:
         if data.p != 1:
             return _fail("input", "the exp model takes exactly one predictor column",
@@ -141,14 +142,18 @@ def cmd_fit(args) -> int:
             # the point estimate is still valid; report it with a warning
             report["warnings"].append(
                 f"inference unavailable: singular factor {exc.factor}")
+    if inf is not None and not all(np.all(np.isfinite(v)) for v in (
+            inf.V, inf.V_symmetric, inf.symmetric_discrepancy) if v is not None):
+        # the constants are finite (require_regular); the covariance overflowed
+        report["warnings"].append("inference unavailable: non-finite covariance")
+        inf = None
     if inf is None:
         report.update(std_errors=None, V=None, constants=None)
     else:
-        report.update(std_errors=inf.std_errors, V=inf.V,
-                      constants=inf.constants.to_dict())
-        if args.symmetric:
-            report.update(V_symmetric=inf.V_symmetric,
-                          symmetric_discrepancy=inf.symmetric_discrepancy)
+        report.update(std_errors=inf.std_errors, V=inf.V, constants=inf.constants.to_dict())
+    if args.symmetric:  # null, like the fields above, when inference is unavailable
+        report.update(V_symmetric=None if inf is None else inf.V_symmetric,
+                      symmetric_discrepancy=None if inf is None else inf.symmetric_discrepancy)
 
     _emit_json(_maybe_meta(report, args.meta), args.out)
     return EXIT_OK
@@ -165,6 +170,8 @@ def cmd_simulate(args) -> int:
     except ScenarioError as exc:
         where = f" (key: {exc.key})" if exc.key else ""
         return _fail("input", f"{exc}{where}", EXIT_INPUT_ERROR)
+    except SingularityError as exc:  # degenerate population constants
+        return _fail("input", f"population {exc}", EXIT_INPUT_ERROR)
     payload = _maybe_meta(report.to_json_dict(), args.meta)
     _emit_json(payload, args.out)
 

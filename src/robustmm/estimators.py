@@ -2,12 +2,15 @@
 
 The joint estimate theta = (xi_S, xi_MM, sigma) solves three stacked
 score equations: the MM score equation at the fixed S-scale, the S score
-equation, and the M-scale equation. The S stage minimizes the M-scale of
-the residuals over elemental-subsample candidates; the MM stage descends
-the bounded loss objective at the fixed scale from the S solution. Both
-refine by one loop, ``_descend``: reweighted least squares with step
-halving. At its IRWLS_MAX_ITER cap an S refinement reports itself
-unconverged, while the MM stage raises ConvergenceError.
+equation, and the M-scale equation, which ``inference.PsiSystem`` defines;
+the sup norms of their means at the solution certify the fit. A location
+fit is ``fit`` with ``location_model`` and zero design columns. The S
+stage minimizes the M-scale of the residuals over elemental-subsample
+candidates; the MM stage descends the bounded loss objective at the fixed
+scale from the S solution. Both refine by one loop, ``_descend``:
+reweighted least squares with step halving. At its IRWLS_MAX_ITER cap an
+S refinement reports itself unconverged, while the MM stage raises
+ConvergenceError.
 """
 
 from __future__ import annotations
@@ -18,15 +21,15 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DomainError, FitError
-from .model import (AugmentedParam, Dataset, RegressionModel,
-                    augmented_grad_rows, location_model, residuals)
+from .exceptions import ConvergenceError, FitError
+from .inference import PsiSystem
+from .model import AugmentedParam, Dataset, RegressionModel, augmented_grad_rows, residuals
 from .mscale import (DECIDE_TOL, SCALE_MAX_ITER, SCALE_TOL, _loss_eval, _mean_loss,
-                     _mscale_batch, _mscale_scalar, mscale, mscale_objective)
+                     _mscale_batch, _mscale_scalar, mscale)
 from .rho import (DEFAULT_DELTA, DEFAULT_K0, DEFAULT_K1, RhoFunction,
                   bisquare, verify_r1)
 
-__all__ = ["FitConfig", "FitResult", "fit", "fit_s", "fit_mm", "fit_location"]
+__all__ = ["FitConfig", "FitResult", "fit", "fit_s", "fit_mm"]
 
 #: scale ties below this are broken by parameter norm, then candidate index
 TIE_TOL = 1e-12
@@ -162,13 +165,6 @@ def _residual_matrix(d: Dataset, m: RegressionModel, XI: np.ndarray) -> np.ndarr
     return R
 
 
-def _jacobian(d: Dataset, m: RegressionModel, xi: np.ndarray) -> np.ndarray:
-    """(n, q+1) augmented gradient rows at the flat parameter xi, or
-    (C, n, q+1) at a (C, q+1) stack."""
-    G = m.grad_rows(d.x, xi[..., :m.q])
-    return np.concatenate([G, np.ones(G.shape[:-1] + (1,))], axis=-1)
-
-
 def _wls_step(J: np.ndarray, w: np.ndarray, r: np.ndarray) -> Optional[np.ndarray]:
     """One weighted least-squares update direction; None when the weighted
     normal equations are singular (too many zero weights)."""
@@ -226,7 +222,7 @@ def _refine_pass(d: Dataset, m: RegressionModel, XI: np.ndarray, R: np.ndarray,
     A singular system or a non-finite step leaves its candidate in place."""
     n, q1 = R.shape[1], m.q + 1
     if m.shared_jacobian:
-        J = _jacobian(d, m, XI[0])
+        J = augmented_grad_rows(m, d.x, XI[0, :m.q])
         K = (J[:, :, None] * J[:, None, :]).reshape(n, q1 * q1)
         size = max(1, STEP_BLOCK_POINTS // n)
     else:
@@ -238,7 +234,7 @@ def _refine_pass(d: Dataset, m: RegressionModel, XI: np.ndarray, R: np.ndarray,
             A = (W @ K).reshape(-1, q1, q1)
             b = np.multiply(W, Rb, out=W) @ J
         else:
-            Jb = _jacobian(d, m, blk)
+            Jb = augmented_grad_rows(m, d.x, blk[:, :m.q])
             JwT = (Jb * W[..., None]).transpose(0, 2, 1)
             A = JwT @ Jb
             b = (JwT @ Rb[..., None])[..., 0]
@@ -283,9 +279,10 @@ def _descend(d: Dataset, m: RegressionModel, rho: RhoFunction, xi: np.ndarray,
     unconverged at IRWLS_MAX_ITER iterations. Returns (xi, sigma, level,
     iterations, converged)."""
     loss = _loss_eval(rho)
-    J = _jacobian(d, m, xi) if m.shared_jacobian else None
+    J = augmented_grad_rows(m, d.x, xi[:m.q]) if m.shared_jacobian else None
     for it in range(1, IRWLS_MAX_ITER + 1):
-        step = _wls_step(_jacobian(d, m, xi) if J is None else J, rho.weight(r / sigma), r)
+        step = _wls_step(augmented_grad_rows(m, d.x, xi[:m.q]) if J is None else J,
+                         rho.weight(r / sigma), r)
         if step is None:
             return xi, sigma, level, it, True
         gate = sigma * (1.0 + slack)
@@ -429,15 +426,12 @@ def _fit_mm_stage(d: Dataset, m: RegressionModel, cfg: FitConfig, sigma: float,
 def _equation_residuals(d: Dataset, m: RegressionModel, cfg: FitConfig,
                         xi_s: AugmentedParam, xi_mm: AugmentedParam,
                         sigma: float) -> tuple:
-    """Sup norms of the three stacked score equations at the solution."""
-    r_s = residuals(d, m, xi_s)
-    r_mm = residuals(d, m, xi_mm)
-    J_s = augmented_grad_rows(m, d.x, xi_s)
-    J_mm = augmented_grad_rows(m, d.x, xi_mm)
-    g1 = (cfg.rho1.psi(r_mm / sigma)[:, None] * J_mm).mean(axis=0)
-    g2 = (cfg.rho0.psi(r_s / sigma)[:, None] * J_s).mean(axis=0)
-    g3 = mscale_objective(r_s, cfg.rho0, sigma) - cfg.delta
-    return (float(np.abs(g1).max()), float(np.abs(g2).max()), float(abs(g3)))
+    """Sup norms of the three stacked score equations at the solution:
+    the MM block, the S block and the scale entry of the mean of Psi."""
+    theta = np.concatenate([xi_s.as_array(), xi_mm.as_array(), [sigma]])
+    g = PsiSystem(m, cfg.rho0, cfg.rho1, cfg.delta).psi_matrix(d, theta).mean(axis=0)
+    q1 = m.q + 1
+    return (float(np.abs(g[q1:2 * q1]).max()), float(np.abs(g[:q1]).max()), float(abs(g[-1])))
 
 
 def fit(d: Dataset, m: RegressionModel, cfg: FitConfig) -> FitResult:
@@ -461,14 +455,3 @@ def fit(d: Dataset, m: RegressionModel, cfg: FitConfig) -> FitResult:
                      iterations_s=iters_s, iterations_mm=iters_mm,
                      candidates_evaluated=n_cands, exact_fit=exact,
                      equation_residuals=eqs, certified=not exact and bool(max(eqs) <= 1e-6))
-
-
-def fit_location(y, cfg: FitConfig) -> FitResult:
-    """Location specialization: no regressors, xi reduces to alpha."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size < 2:
-        raise ValueError("location fit needs at least 2 observations")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("observations must be finite")
-    d = Dataset(x=np.zeros((y.size, 0)), y=y)
-    return fit(d, location_model(), cfg)

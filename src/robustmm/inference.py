@@ -2,28 +2,32 @@
 
 The joint parameter theta = (xi_S, xi_MM, sigma) solves a stacked system
 of 2q+3 score equations. Everything here follows from that system: its
-per-observation score vector Psi, the Jacobian dPsi/dtheta with its fixed
-sparsity pattern, the expected Jacobian D0 in closed block form, the
+per-observation score vector Psi (``PsiSystem``, whose mean is also the
+fit's certificate), the Jacobian dPsi/dtheta with its fixed sparsity
+pattern, the expected Jacobian D0 in closed block form, the
 per-observation influence vectors -D0^{-1} Psi, and the sandwich
 covariance V = E[I I'] whose diagonal yields standard errors.
 
 Plug-in constants are empirical means over the fitted residuals and
-design; the closed-form and generic matrix routes are kept side by side
-as cross-checks of each other.
+design. The one closed-form influence function, ``influence_full``, and
+the generic route -D0^{-1} Psi are kept side by side as cross-checks of
+each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .estimators import FitConfig, FitResult
 from .exceptions import SingularityError
 from .model import (AugmentedParam, Dataset, RegressionModel,
                     augmented_grad_rows, augmented_hess_rows, residuals)
 from .rho import RhoFunction
+
+if TYPE_CHECKING:  # estimators imports this module
+    from .estimators import FitConfig, FitResult
 
 __all__ = [
     "InferenceConstants",
@@ -34,11 +38,7 @@ __all__ = [
     "closed_form_d0",
     "closed_form_d0_inv",
     "d0_determinant_factor",
-    "influence_s",
-    "influence_mm",
-    "influence_scale",
     "influence_full",
-    "influence_location",
     "asymptotic_cov",
 ]
 
@@ -97,6 +97,10 @@ class InferenceConstants:
     def require_regular(self):
         """Fail loudly on degenerate constants instead of near-singular
         inversion; names the offending factor."""
+        for name in ("a00", "a01", "e00", "e01", "d0", "sigma0", "alpha00",
+                     "alpha01", "b0", "A0", "C0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise SingularityError(f"constant {name} is not finite", factor=name)
         for name in ("a00", "a01", "d0"):
             if abs(getattr(self, name)) < SINGULARITY_TOL:
                 raise SingularityError(f"constant {name} is numerically zero", factor=name)
@@ -168,30 +172,26 @@ class PsiSystem:
         return (AugmentedParam.from_array(theta[:q1]),
                 AugmentedParam.from_array(theta[q1:2 * q1]), sigma)
 
-    def psi(self, x, y, theta) -> np.ndarray:
-        """Score vector of one observation: the one-row case of
-        ``psi_matrix``."""
-        return self.psi_matrix(_one_row(x, y), theta)[0]
+    def _evaluate(self, d: Dataset, theta) -> tuple:
+        """(xi_S, xi_MM, sigma, t_S, t_MM, J_S, J_MM) at theta: the
+        standardized residuals and augmented gradient rows of both blocks."""
+        xi_s, xi_mm, sigma = self.split(theta)
+        t_s = residuals(d, self.m, xi_s) / sigma
+        t_mm = residuals(d, self.m, xi_mm) / sigma
+        J_s = augmented_grad_rows(self.m, d.x, xi_s.beta)
+        J_mm = augmented_grad_rows(self.m, d.x, xi_mm.beta)
+        return xi_s, xi_mm, sigma, t_s, t_mm, J_s, J_mm
 
     def psi_matrix(self, d: Dataset, theta) -> np.ndarray:
         """(n, 2q+3) stack of score vectors over a dataset, one row
         [psi0(t_S) gdot(xi_S); psi1(t_MM) gdot(xi_MM); rho0(t_S) - delta]
         per observation."""
-        xi_s, xi_mm, sigma = self.split(theta)
-        t_s = residuals(d, self.m, xi_s) / sigma
-        t_mm = residuals(d, self.m, xi_mm) / sigma
-        J_s = augmented_grad_rows(self.m, d.x, xi_s)
-        J_mm = augmented_grad_rows(self.m, d.x, xi_mm)
+        _, _, _, t_s, t_mm, J_s, J_mm = self._evaluate(d, theta)
         return np.column_stack([
             self.rho0.psi(t_s)[:, None] * J_s,
             self.rho1.psi(t_mm)[:, None] * J_mm,
             self.rho0.rho(t_s) - self.delta,
         ])
-
-    def psi_jacobian(self, x, y, theta) -> np.ndarray:
-        """dPsi/dtheta for one observation: the one-row case of
-        ``empirical_d0``."""
-        return self.empirical_d0(_one_row(x, y), theta)
 
     def empirical_d0(self, d: Dataset, theta) -> np.ndarray:
         """Mean of the per-observation Jacobians dPsi/dtheta over the dataset.
@@ -200,12 +200,8 @@ class PsiSystem:
         identically zero because the S rows do not involve xi_MM and the
         scale row does not involve xi_MM either.
         """
-        xi_s, xi_mm, sigma = self.split(theta)
+        xi_s, xi_mm, sigma, t_s, t_mm, J_s, J_mm = self._evaluate(d, theta)
         q1 = self.m.q + 1
-        t_s = residuals(d, self.m, xi_s) / sigma
-        t_mm = residuals(d, self.m, xi_mm) / sigma
-        J_s = augmented_grad_rows(self.m, d.x, xi_s)
-        J_mm = augmented_grad_rows(self.m, d.x, xi_mm)
         H_s = augmented_hess_rows(self.m, d.x, xi_s)
         H_mm = augmented_hess_rows(self.m, d.x, xi_mm)
         p0, p1 = self.rho0.psi(t_s), self.rho1.psi(t_mm)
@@ -223,11 +219,6 @@ class PsiSystem:
         out[sg, s] = -p0 @ J_s / (n * sigma)
         out[sg, sg] = -np.mean(p0 * t_s) / sigma
         return out
-
-
-def _one_row(x, y) -> Dataset:
-    """A single observation as a one-row dataset."""
-    return Dataset(x=np.atleast_2d(np.asarray(x, dtype=float)), y=[y])
 
 
 # ---------------------------------------------------------------------------
@@ -292,75 +283,46 @@ def d0_determinant_factor(c: InferenceConstants) -> float:
 # ---------------------------------------------------------------------------
 # influence functions (closed forms)
 
-def _t_values(x, y, m: RegressionModel, beta, c: InferenceConstants):
-    """Model gradient and standardized S and MM residuals at one point."""
+def influence_full(x, y, m: RegressionModel, beta, c: InferenceConstants) -> np.ndarray:
+    """Closed-form influence of one point (x, y), stacked as (S block,
+    MM block, scale) like theta.
+
+    With t_S = (y - g(x, beta) - alpha00)/sigma0, t_MM likewise at
+    alpha01, and the scale residual s = rho0(t_S) - delta, the scale
+    entry is (sigma0/d0) s. The S block (psi0, a00, e00 at t_S) and the
+    MM block (psi1, a01, e01 at t_MM) share one form: the coefficient
+    part is (sigma0/a) psi(t) A0^{-1}(gdot - b0), and the intercept part
+    is (sigma0/a) psi(t) (1 + b0' A0^{-1}(b0 - gdot)) minus the
+    scale-route correction (sigma0 e/(a d0)) s, which vanishes for the
+    MM block under symmetric errors (e01 = 0).
+    """
+    c.require_regular()
     X = np.atleast_2d(np.asarray(x, dtype=float))
     beta = np.asarray(beta, dtype=float)
     g = m.eval_batch(X, beta)[0]
+    gdot = m.grad_rows(X, beta)[0]
     t_s = (y - g - c.alpha00) / c.sigma0
     t_mm = (y - g - c.alpha01) / c.sigma0
-    return m.grad_rows(X, beta)[0], t_s, t_mm
-
-
-def _influence_block(gdot, t_s, t_fit, psi, a, e, c: InferenceConstants) -> np.ndarray:
-    """Coefficient-and-intercept influence of an S or MM block: the
-    coefficient part is (sigma0/a) psi(t_fit) A0^{-1}(gdot - b0); the
-    intercept part adds the scale-route correction proportional to
-    e (rho0(t_S) - delta)."""
-    lead = c.sigma0 / a * psi(t_fit)
-    scale_term = (c.sigma0 * e / (a * c.d0)) * (c.rho0.rho(t_s) - c.delta)
-    if c.q:
-        beta_part = lead * np.linalg.solve(c.A0, gdot - c.b0)
-        alpha_part = lead * (1.0 + c.b0 @ np.linalg.solve(c.A0, c.b0 - gdot)) - scale_term
-        return np.concatenate([beta_part, [alpha_part]])
-    return np.array([lead - scale_term])
-
-
-def influence_mm(x, y, m: RegressionModel, beta, c: InferenceConstants) -> np.ndarray:
-    """Influence of the MM coefficient-and-intercept block at one point,
-    with the MM score psi1 and constants (a01, e01, alpha01). The scale
-    correction vanishes under symmetric errors."""
-    c.require_regular()
-    gdot, t_s, t_mm = _t_values(x, y, m, beta, c)
-    return _influence_block(gdot, t_s, t_mm, c.rho1.psi, c.a01, c.e01, c)
-
-
-def influence_s(x, y, m: RegressionModel, beta, c: InferenceConstants) -> np.ndarray:
-    """Influence of the S block; same shape as the MM one with the S-stage
-    score and constants (a00, e00, alpha00)."""
-    c.require_regular()
-    gdot, t_s, _ = _t_values(x, y, m, beta, c)
-    return _influence_block(gdot, t_s, t_s, c.rho0.psi, c.a00, c.e00, c)
-
-
-def influence_scale(x, y, m: RegressionModel, beta, c: InferenceConstants) -> float:
-    """Influence of the scale component: (sigma0/d0)(rho0(t_S) - delta)."""
-    c.require_regular()
-    _, t_s, _ = _t_values(x, y, m, beta, c)
-    return float(c.sigma0 / c.d0 * (c.rho0.rho(t_s) - c.delta))
-
-
-def influence_full(x, y, m: RegressionModel, beta, c: InferenceConstants) -> np.ndarray:
-    """Stacked influence (S block, MM block, scale)."""
-    return np.concatenate([
-        influence_s(x, y, m, beta, c),
-        influence_mm(x, y, m, beta, c),
-        [influence_scale(x, y, m, beta, c)],
-    ])
-
-
-def influence_location(y, c: InferenceConstants) -> float:
-    """Location-case MM influence: (sigma0/a01) psi1((y - alpha01)/sigma0)
-    minus the scale-route correction at the S centering; the intercept
-    entry of the MM block at a point whose gradient is b0."""
-    c.require_regular()
-    t_s = (y - c.alpha00) / c.sigma0
-    t_mm = (y - c.alpha01) / c.sigma0
-    return float(_influence_block(c.b0, t_s, t_mm, c.rho1.psi, c.a01, c.e01, c)[-1])
+    scale = c.rho0.rho(t_s) - c.delta
+    blocks = []
+    for psi, t, a, e in ((c.rho0.psi, t_s, c.a00, c.e00), (c.rho1.psi, t_mm, c.a01, c.e01)):
+        lead = c.sigma0 / a * psi(t)
+        blocks += [lead * np.linalg.solve(c.A0, gdot - c.b0),
+                   [lead * (1.0 + c.b0 @ np.linalg.solve(c.A0, c.b0 - gdot))
+                    - (c.sigma0 * e / (a * c.d0)) * scale]]
+    return np.concatenate([*blocks, [c.sigma0 / c.d0 * scale]])
 
 
 # ---------------------------------------------------------------------------
 # sandwich covariance
+
+def _symmetric_mm_cov(c: InferenceConstants, mean_psi1_sq: float) -> np.ndarray:
+    """Covariance of the MM block under symmetric errors,
+    sigma0^2 E psi1^2 / a01^2 C0^{-1}, with E psi1' = a01 and the mean
+    square of the MM score ``mean_psi1_sq`` (plug-in or population)."""
+    s = c.sigma0
+    return s * s * mean_psi1_sq / c.a01 ** 2 * closed_form_c0_inv(c)
+
 
 @dataclass(frozen=True)
 class InferenceReport:
@@ -390,8 +352,8 @@ def asymptotic_cov(d: Dataset, m: RegressionModel, fit: FitResult,
     Influence rows are computed as -D0^{-1} Psi(z_i, theta_hat) with the
     closed-form D0 assembled from the plug-in constants, solved by
     factorization. With ``symmetric=True`` the report also carries the
-    symmetric-error shortcut V = sigma0^2 E psi1^2 / (E psi1')^2 C0^{-1}
-    and the relative gap between the two routes.
+    symmetric-error shortcut (``_symmetric_mm_cov``) and the relative gap
+    between the two routes.
     """
     if fit.sigma <= 0.0:
         raise ValueError("inference requires a positive fitted scale (no exact fit)")
@@ -402,9 +364,8 @@ def asymptotic_cov(d: Dataset, m: RegressionModel, fit: FitResult,
                       "not certified", stacklevel=2)
     c = plugin_constants(d, m, fit, cfg)
     c.require_regular()
-    system = PsiSystem(m, cfg.rho0, cfg.rho1, cfg.delta)
     D0 = closed_form_d0(c)
-    Psi = system.psi_matrix(d, fit.theta_vector())
+    Psi = PsiSystem(m, cfg.rho0, cfg.rho1, cfg.delta).psi_matrix(d, fit.theta_vector())
     influence = -np.linalg.solve(D0, Psi.T).T
     V_full = influence.T @ influence / d.n
     V_full = 0.5 * (V_full + V_full.T)
@@ -415,10 +376,8 @@ def asymptotic_cov(d: Dataset, m: RegressionModel, fit: FitResult,
     V_sym = None
     gap = None
     if symmetric:
-        t_mm = residuals(d, m, fit.xi_mm) / fit.sigma
-        num = float(np.mean(cfg.rho1.psi(t_mm) ** 2))
-        den = float(np.mean(cfg.rho1.psi_prime(t_mm))) ** 2
-        V_sym = fit.sigma ** 2 * num / den * closed_form_c0_inv(c)
+        # psi1(t_MM) is the MM-intercept column of Psi, its gradient being 1
+        V_sym = _symmetric_mm_cov(c, np.mean(Psi[:, 2 * q1 - 1] ** 2))
         gap = float(np.linalg.norm(V - V_sym) / max(np.linalg.norm(V), 1e-300))
     return InferenceReport(constants=c, D0=D0, V=V, V_full=V_full,
                            std_errors=std_errors, influence=influence,

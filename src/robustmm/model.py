@@ -237,9 +237,10 @@ def residuals(d: Dataset, m: RegressionModel, xi: AugmentedParam) -> np.ndarray:
     return r
 
 
-def augmented_grad_rows(m: RegressionModel, X: np.ndarray, xi: AugmentedParam) -> np.ndarray:
-    """(n, q+1) gradients of g(x_i, beta) + alpha in xi: (grad_beta g, 1)."""
-    G = m.grad_rows(X, xi.beta)
+def augmented_grad_rows(m: RegressionModel, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """(n, q+1) gradients of g(x_i, beta) + alpha in xi = (beta, alpha):
+    (grad_beta g, 1); (..., n, q+1) for a (..., q) stack of beta."""
+    G = m.grad_rows(X, beta)
     return np.concatenate([G, np.ones(G.shape[:-1] + (1,))], axis=-1)
 
 
@@ -259,16 +260,6 @@ class IdentifiabilityReport:
     constant_columns: tuple
     at_risk: bool
     messages: tuple
-
-    def to_dict(self):
-        return {
-            "rank": self.rank,
-            "required_rank": self.required_rank,
-            "max_duplicate_fraction": self.max_duplicate_fraction,
-            "constant_columns": list(self.constant_columns),
-            "at_risk": self.at_risk,
-            "messages": list(self.messages),
-        }
 
 
 def check_identifiability(d: Dataset) -> IdentifiabilityReport:

@@ -33,7 +33,7 @@ from scipy import integrate, optimize, special
 
 from .estimators import FitConfig, fit
 from .exceptions import RobustmmError, ScenarioError
-from .inference import (InferenceConstants, PsiSystem, asymptotic_cov, closed_form_c0_inv,
+from .inference import (InferenceConstants, PsiSystem, _symmetric_mm_cov, asymptotic_cov,
                         closed_form_d0)
 from .model import Dataset, RegressionModel, exp_model, linear_model, location_model
 from .rho import RhoFunction, bisquare
@@ -125,12 +125,14 @@ class ErrorLaw:
     outlier_scale: float = 10.0
 
     def __post_init__(self):
+        # the centre polish stops at an absolute 1e-13, too coarse below a scale of
+        # 1e-6; reports square scale-sized errors, which overflow above about 1e154
         _require(("errors", self.name in _LAWS, f"must be one of {tuple(_LAWS)}"),
-                 ("error_scale", 0.0 < self.scale < math.inf, "must be positive and finite"),
+                 ("error_scale", 1e-6 <= self.scale <= 1e100, "must lie in [1e-6, 1e100]"),
                  ("error_shift", math.isfinite(self.shift), "must be finite"),
                  ("error_eps", 0.0 <= self.eps < 1.0, "must lie in [0, 1)"),
-                 ("error_outlier_scale", 0.0 < self.outlier_scale < math.inf,
-                  "must be positive and finite"))
+                 ("error_outlier_scale", 0.0 < self.outlier_scale <= 1e100,
+                  "must lie in (0, 1e100]"))
 
     def _mixture(self) -> tuple:
         family, _, components = _LAWS[self.name]
@@ -208,8 +210,7 @@ def _scale_at(law: ErrorLaw, rho0: RhoFunction, delta: float, t: float) -> float
     def gap(s):
         return _expected_rho(law, rho0, t, s) - delta
 
-    s0 = max(law.scale, 1e-6)
-    lo, hi = s0, s0
+    lo = hi = law.scale
     for _ in range(200):
         if gap(lo) >= 0.0:
             break
@@ -295,11 +296,11 @@ def population_constants(law: ErrorLaw, rho0: RhoFunction, rho1: RhoFunction,
 
 
 def _oracle_mm_variance(law: ErrorLaw, c: InferenceConstants) -> np.ndarray:
-    """Symmetric-error covariance of the MM block:
-    sigma0^2 E psi1^2 / (E psi1')^2 C0^{-1} with C0 from the design."""
-    rho1, s = c.rho1, c.sigma0
-    num = _window_mean(law, lambda t: rho1.psi(t) ** 2, c.alpha01, s, rho1.k)
-    return s * s * num / c.a01 ** 2 * closed_form_c0_inv(c)
+    """Symmetric-error covariance of the MM block at the population
+    constants, with E psi1^2 by quadrature."""
+    rho1 = c.rho1
+    return _symmetric_mm_cov(c, _window_mean(law, lambda t: rho1.psi(t) ** 2,
+                                             c.alpha01, c.sigma0, rho1.k))
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +679,8 @@ def run_consistency(scenario: SimScenario) -> SimReport:
     claims = []
     ratios = []
     for i in range(len(medians) - 1):
-        ratio = None if None in medians[i:i + 2] else medians[i + 1] / medians[i]
+        # undecided without both medians, or with a zero one to divide by
+        ratio = None if None in medians[i:i + 2] or not medians[i] else medians[i + 1] / medians[i]
         ratios.append(ratio)
         claims.append(Claim(
             name=f"median_error_ratio_{scenario.sizes[i]}_to_{scenario.sizes[i + 1]}",
@@ -698,6 +700,7 @@ def _population_theta(scenario: SimScenario):
     b0, A0 = scenario.design_moments()
     cfg = scenario.fit_config(0)
     consts = population_constants(law, cfg.rho0, cfg.rho1, scenario.delta, b0, A0)
+    consts.require_regular()
     beta0 = np.asarray(scenario.beta0)
     theta0 = np.concatenate([beta0, [consts.alpha00 + scenario.alpha0], beta0,
                              [consts.alpha01 + scenario.alpha0],
@@ -860,6 +863,11 @@ def _contamination_task(args):
             "deviations": deviations}
 
 
+def _reportable(value):
+    """value, or None for a non-finite one (a failed refit deviates by inf)."""
+    return None if value is not None and not math.isfinite(value) else value
+
+
 def run_contamination(scenario: SimScenario) -> SimReport:
     """Bounded-deviation sweep over contamination fractions and outlier
     magnitudes, with the no-contamination case refitting identically."""
@@ -889,9 +897,11 @@ def run_contamination(scenario: SimScenario) -> SimReport:
                     growth_worst = max(growth_worst, growth)
 
         cap = scenario.thresholds["se_multiple_max"]
+        failed = any(dev == math.inf for r in ok for dev in r["deviations"].values())
         claims.append(Claim(name="max_deviation_vs_clean_se",
                             passed=bool(worst_multiple < cap),
-                            value=worst_multiple, threshold=cap))
+                            value=_reportable(worst_multiple), threshold=cap,
+                            detail="a contaminated refit failed" if failed else ""))
         gcap = scenario.thresholds["magnitude_growth_max"]
         if growth_worst is None:
             passed, detail = None, "needs two magnitudes"
@@ -899,10 +909,10 @@ def run_contamination(scenario: SimScenario) -> SimReport:
             passed = bool(growth_worst <= gcap)
             detail = f"magnitudes {mags[-2]:g} to {mags[-1]:g}"
         claims.append(Claim(name="deviation_growth_large_magnitudes",
-                            passed=passed, value=growth_worst, threshold=gcap,
+                            passed=passed, value=_reportable(growth_worst), threshold=gcap,
                             detail=detail))
-    summary = {"n": scenario.sizes[0], "worst_se_multiple": worst_multiple,
-               "worst_magnitude_growth": growth_worst}
+    summary = {"n": scenario.sizes[0], "worst_se_multiple": _reportable(worst_multiple),
+               "worst_magnitude_growth": _reportable(growth_worst)}
     return _report(scenario, results, claims, summary, per_rep)
 
 

@@ -167,7 +167,8 @@ def test_c5_influence_equivalence():
         y = float(rng.normal() * 2.0)
         closed = influence_full(x, y, m, beta, c)
         system = PsiSystem(m, RHO0, RHO1, 0.5)
-        generic = -np.linalg.solve(closed_form_d0(c), system.psi(x, y, theta))
+        psi = system.psi_matrix(Dataset(x=x[None], y=[y]), theta)[0]
+        generic = -np.linalg.solve(closed_form_d0(c), psi)
         gap = np.abs(closed - generic).max() / (1.0 + np.abs(generic).max())
         worst = max(worst, float(gap))
     assert worst <= 1e-8

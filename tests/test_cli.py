@@ -28,6 +28,14 @@ def scenario_path(name):
     return resources.files("robustmm") / "scenarios" / name
 
 
+def strict_json(text):
+    """Parse RFC 8259 JSON: NaN and Infinity are rejected."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestCheckRho:
     @pytest.mark.parametrize("k", ["1.547", "4.685"])
     def test_bisquare_passes(self, k, capsys):
@@ -179,6 +187,32 @@ class TestFit:
         assert report["converged"] == {"s": False, "mm": True}
         assert report["beta_s"] == res.xi_s.beta.tolist()
 
+    @pytest.mark.parametrize("x_scale,y_scale,symmetric,warning", [
+        (1e200, 1.0, False, "inference unavailable: singular factor A0"),
+        (1.0, 1e300, False, "inference unavailable: non-finite covariance"),
+        (1.0, 1e300, True, "inference unavailable: non-finite covariance"),
+    ], ids=["huge-predictors", "huge-response", "huge-response-symmetric"])
+    def test_non_finite_covariance_unavailable(self, tmp_path, x_scale, y_scale, symmetric,
+                                               warning):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(50, 2)) * x_scale
+        y = (X / x_scale @ [2.0, -1.0] + 0.5 + rng.normal(size=50)) * y_scale
+        lines = ["y,x1,x2"] + [",".join(repr(float(v)) for v in (y[i], *X[i]))
+                               for i in range(50)]
+        f = tmp_path / "huge.csv"
+        f.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.json"
+        argv = ["fit", "--input", str(f), "--y-col", "y", "--n-subsamples", "50",
+                "--out", str(out)]
+        assert main(argv + ["--symmetric"] * symmetric) == 0
+        report = strict_json(out.read_text())
+        assert warning in report["warnings"]
+        assert report["std_errors"] is None and report["V"] is None
+        assert report["constants"] is None
+        if symmetric:
+            assert report["V_symmetric"] is None
+            assert report["symmetric_discrepancy"] is None
+
 
 class TestSimulate:
     def test_contamination_smoke_passes(self, tmp_path):
@@ -223,6 +257,8 @@ class TestSimulate:
         ("errors = contaminated-normal\nerror_eps = 0.2\n"
          "error_outlier_scale = 0\n", "error_outlier_scale"),
         ("errors = contaminated-normal\nerror_eps = 1.5\n", "error_eps"),
+        ("errors = contaminated-normal\nerror_eps = 0.2\n"
+         "error_outlier_scale = 1e300\n", "error_outlier_scale"),
         ("refine_steps = 3\n", "refine_steps"),
         ("sizes = 60\n", "sizes"),
         ("delta = 1.5\n", "delta"),
@@ -239,6 +275,7 @@ class TestSimulate:
         ("contamination_fractions = 0.1, -0.1\n", "contamination_fractions"),
         ("delta = 0.6\ncontamination_fractions = 0.1, 0.4\n", "contamination_fractions"),
     ], ids=["negative-scale", "nan-scale", "zero-outlier-scale", "eps-above-1",
+            "huge-outlier-scale",
             "solver-constant", "repeated-key", "delta-above-1", "negative-k0",
             "k1-below-k0", "no-subsamples", "no-predictors", "exp-p-not-1",
             "location-p-not-0", "negative-seed", "huge-seed",
@@ -318,6 +355,48 @@ class TestSimulate:
         assert report["passed"] is None
         claims = {c["name"]: c for c in report["claims"]}
         assert claims["normality"]["detail"] == "insufficient replications"
+
+    @pytest.mark.parametrize("text,err", [
+        ("kind = normality\nmodel = location\np = 0\nbeta0 =\nerror_scale = 1e-300\n"
+         "sizes = 20\nreplications = 2\n",
+         "error: input: error_scale must lie in [1e-6, 1e100] (key: error_scale)\n"),
+        ("kind = expansion\np = 1\nk0 = 1e-8\nk1 = 1e-8\nsizes = 20, 40\nreplications = 2\n",
+         "error: input: population constant a00 is numerically zero\n"),
+        ("kind = expansion\np = 1\nerror_scale = 1e300\nsizes = 20, 40\nreplications = 2\n",
+         "error: input: error_scale must lie in [1e-6, 1e100] (key: error_scale)\n"),
+    ], ids=["tiny-error-scale", "zero-population-constants", "huge-error-scale"])
+    def test_degenerate_scenario_exit_3(self, tmp_path, capsys, text, err):
+        scen = tmp_path / "degenerate.cfg"
+        scen.write_text(text)
+        assert main(["simulate", "--scenario", str(scen)]) == 3
+        assert capsys.readouterr().err == err
+
+    def test_zero_median_error_ratio_undecided(self, tmp_path):
+        # at beta0 = 1e300 every slope error is exactly 0
+        scen = tmp_path / "huge-slope.cfg"
+        scen.write_text("kind = consistency\np = 1\nbeta0 = 1e300\nsizes = 20, 40, 80\n"
+                        "replications = 2\n")
+        out = tmp_path / "rep.json"
+        assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 1
+        report = strict_json(out.read_text())
+        assert report["passed"] is None
+        assert report["summary"]["median_slope_error"] == [0.0, 0.0, 0.0]
+        assert [c["passed"] for c in report["claims"][1:]] == [None, None]
+
+    def test_failed_contaminated_refit_strict_json(self, tmp_path):
+        # 20 % of the responses at 1e50: the refit raises, its deviation is inf
+        scen = tmp_path / "refit-fails.cfg"
+        scen.write_text("kind = contamination\np = 1\nsizes = 30\nreplications = 1\n"
+                        "n_subsamples = 10\ncontamination_fractions = 0.2\n"
+                        "outlier_magnitudes = 100, 1e50\n")
+        out = tmp_path / "rep.json"
+        assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 1
+        report = strict_json(out.read_text())
+        claims = {c["name"]: c for c in report["claims"]}
+        worst = claims["max_deviation_vs_clean_se"]
+        assert worst["passed"] is False and worst["value"] is None
+        assert worst["detail"] == "a contaminated refit failed"
+        assert report["summary"]["worst_se_multiple"] is None
 
     def test_location_normal_bundled(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robustmm import (AugmentedParam, Dataset, FitConfig, bisquare, fd_model, fit,
-                      fit_location, fit_mm, fit_s, linear_model, exp_model,
+                      fit_mm, fit_s, linear_model, location_model, exp_model,
                       mscale, residuals)
 from robustmm.exceptions import FitError
 from robustmm.mscale import mscale_objective
@@ -10,6 +10,12 @@ from robustmm.mscale import mscale_objective
 from gridoracle import grid_location_oracle, grid_mm_oracle, grid_s_oracle
 
 CFG = FitConfig(n_subsamples=60, seed=42)
+
+
+def location_fit(y, cfg):
+    """``fit`` with the location model: a design of zero columns."""
+    y = np.asarray(y, dtype=float)
+    return fit(Dataset(x=np.zeros((y.size, 0)), y=y), location_model(), cfg)
 
 
 def make_linear(rng, n, p, beta, alpha, noise=1.0):
@@ -230,12 +236,12 @@ class TestFitLocation:
         rng = np.random.default_rng(11)
         half = rng.normal(size=25)
         y = np.concatenate([3.0 + half, 3.0 - half])
-        res = fit_location(y, CFG)
+        res = location_fit(y, CFG)
         assert res.xi_s.alpha == pytest.approx(3.0, abs=1e-8)
         assert res.xi_mm.alpha == pytest.approx(3.0, abs=1e-8)
 
     def test_constant_sample_exact_fit(self):
-        res = fit_location(np.full(12, 4.2), CFG)
+        res = location_fit(np.full(12, 4.2), CFG)
         assert res.exact_fit
         assert res.sigma == 0.0
         assert res.xi_mm.alpha == pytest.approx(4.2, abs=1e-12)
@@ -243,7 +249,7 @@ class TestFitLocation:
     def test_skewed_sample_matches_grid(self):
         rng = np.random.default_rng(12)
         y = rng.exponential(scale=1.0, size=60)
-        res = fit_location(y, CFG)
+        res = location_fit(y, CFG)
         t_g, _ = grid_location_oracle(y, res.sigma, CFG.rho1.k,
                                       res.xi_mm.alpha - 0.3,
                                       res.xi_mm.alpha + 0.3)
@@ -251,7 +257,7 @@ class TestFitLocation:
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
-            fit_location([1.0], CFG)
+            location_fit([1.0], CFG)
 
 
 class TestEquivariance:
@@ -494,7 +500,7 @@ def _pinned_location(seed, n, n_sub):
     rng = np.random.default_rng(seed)
     y = rng.standard_t(df=3, size=n) + 4.0
     y[: n // 10] += 25.0
-    return fit_location(y, FitConfig(n_subsamples=n_sub, seed=seed))
+    return location_fit(y, FitConfig(n_subsamples=n_sub, seed=seed))
 
 
 def _pinned_exact(seed, n, n_sub):
@@ -558,7 +564,7 @@ def _loop_pass(d, m, XI, R, sigma):
     W = CFG.rho0.weight(R / sigma[:, None])
     XI = XI.copy()
     for c in range(len(XI)):
-        step = est._wls_step(est._jacobian(d, m, XI[c]), W[c], R[c])
+        step = est._wls_step(est.augmented_grad_rows(m, d.x, XI[c, :m.q]), W[c], R[c])
         if step is not None:
             XI[c] = est._project(m, XI[c] + step)
     return XI
@@ -664,8 +670,9 @@ class TestBatchedRefine:
         m = linear_model(2)
         plain = dataclasses.replace(m, shared_jacobian=False)
         built = []
-        jacobian = est._jacobian
-        monkeypatch.setattr(est, "_jacobian", lambda *a: built.append(1) or jacobian(*a))
+        jacobian = est.augmented_grad_rows
+        monkeypatch.setattr(est, "augmented_grad_rows",
+                            lambda *a: built.append(1) or jacobian(*a))
         for start in ([0.0, 0.0, 0.0], [5.0, 5.0, -5.0], [1.1, -0.9, 0.4]):
             for step_tol in (1e-4, est.IRWLS_TOL):
                 built.clear()

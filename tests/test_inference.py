@@ -3,9 +3,9 @@ import pytest
 
 from robustmm import (Dataset, FitConfig, InferenceConstants, PsiSystem,
                       asymptotic_cov, bisquare, closed_form_c0_inv,
-                      closed_form_d0, closed_form_d0_inv, fit, fit_location,
-                      influence_full, influence_location, influence_mm,
-                      linear_model, location_model, plugin_constants)
+                      closed_form_d0, closed_form_d0_inv, exp_model, fit,
+                      influence_full, linear_model, location_model,
+                      plugin_constants)
 from robustmm.exceptions import SingularityError
 from robustmm.inference import d0_determinant_factor
 
@@ -28,6 +28,16 @@ def random_constants(rng, q):
         rho0=RHO0, rho1=RHO1, delta=0.5)
 
 
+def one_row(x, y):
+    """A single observation as a one-row dataset."""
+    return Dataset(x=np.atleast_2d(np.asarray(x, dtype=float)), y=[y])
+
+
+def psi_row(sys, x, y, theta):
+    """Score vector of one observation."""
+    return sys.psi_matrix(one_row(x, y), theta)[0]
+
+
 def fitted_instance(seed=0, n=120, p=2):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
@@ -45,7 +55,7 @@ class TestPsiStack:
         sys = PsiSystem(m, RHO0, RHO1, 0.5)
         theta = np.array([2.0, 1.0, 2.0, 1.0, 0.7])
         x, y = np.array([0.5]), 2.0 * 0.5 + 1.0
-        got = sys.psi(x, y, theta)
+        got = psi_row(sys, x, y, theta)
         assert np.allclose(got[:-1], 0.0, atol=1e-15)
         assert got[-1] == pytest.approx(-0.5, abs=1e-15)
 
@@ -69,7 +79,7 @@ class TestPsiStack:
             RHO1.psi(t_mm) * np.array([x[0], x[1], 1.0]),
             [RHO0.rho(t_s) - 0.5],
         ])
-        assert np.allclose(sys.psi(x, y, theta), want, atol=1e-14)
+        assert np.allclose(psi_row(sys, x, y, theta), want, atol=1e-14)
 
     def test_row_stack_matches_single(self):
         d, m, res = fitted_instance(3, n=25)
@@ -77,7 +87,7 @@ class TestPsiStack:
         theta = res.theta_vector()
         Psi = sys.psi_matrix(d, theta)
         for i in range(5):
-            assert np.allclose(Psi[i], sys.psi(d.x[i], d.y[i], theta),
+            assert np.allclose(Psi[i], psi_row(sys, d.x[i], d.y[i], theta),
                                rtol=1e-12, atol=1e-14)
 
 
@@ -93,13 +103,14 @@ class TestPsiJacobian:
                                     [rng.uniform(0.6, 1.5)]])
             x = rng.normal(size=p)
             y = float(rng.normal())
-            J = sys.psi_jacobian(x, y, theta)
+            J = sys.empirical_d0(one_row(x, y), theta)
             h = 1e-6
             J_fd = np.empty_like(J)
             for j in range(dim):
                 e = np.zeros(dim)
                 e[j] = h
-                J_fd[:, j] = (sys.psi(x, y, theta + e) - sys.psi(x, y, theta - e)) / (2 * h)
+                J_fd[:, j] = (psi_row(sys, x, y, theta + e)
+                              - psi_row(sys, x, y, theta - e)) / (2 * h)
             assert np.allclose(J, J_fd, rtol=1e-4, atol=1e-6)
 
     def test_zero_blocks(self):
@@ -109,7 +120,7 @@ class TestPsiJacobian:
         q1 = 3
         for _ in range(20):
             theta = np.concatenate([rng.normal(size=6), [rng.uniform(0.5, 2.0)]])
-            J = sys.psi_jacobian(rng.normal(size=2), float(rng.normal()), theta)
+            J = sys.empirical_d0(one_row(rng.normal(size=2), float(rng.normal())), theta)
             assert np.all(J[:q1, q1:2 * q1] == 0.0)
             assert np.all(J[q1:2 * q1, :q1] == 0.0)
             assert J[2 * q1, q1:2 * q1] @ np.ones(q1) == 0.0
@@ -119,7 +130,7 @@ class TestPsiJacobian:
         sys = PsiSystem(m, RHO0, RHO1, 0.5)
         theta = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
         x, y = np.array([0.7]), 1.2
-        J = sys.psi_jacobian(x, y, theta)
+        J = sys.empirical_d0(one_row(x, y), theta)
         gbar = np.array([0.7, 1.0])
         t_s = (y - 0.7) / 1.0
         want = -RHO0.psi_prime(t_s) * np.outer(gbar, gbar)
@@ -166,18 +177,20 @@ class TestClosedForms:
 
 
 class TestInfluence:
-    def test_closed_form_equals_generic(self):
+    # the exp model's gradient depends on beta, the linear model's does not
+    @pytest.mark.parametrize("m,p", [(linear_model(2), 2), (exp_model(), 1)],
+                             ids=["linear", "exp"])
+    def test_closed_form_equals_generic(self, m, p):
         rng = np.random.default_rng(11)
-        m = linear_model(2)
         sys = PsiSystem(m, RHO0, RHO1, 0.5)
         for _ in range(50):
             c = random_constants(rng, 2)
             beta = rng.normal(size=2)
             theta = np.concatenate([beta, [c.alpha00], beta, [c.alpha01], [c.sigma0]])
-            x = rng.normal(size=2)
+            x = rng.normal(size=p)
             y = float(rng.normal() * 2.0)
             closed = influence_full(x, y, m, beta, c)
-            generic = -np.linalg.solve(closed_form_d0(c), sys.psi(x, y, theta))
+            generic = -np.linalg.solve(closed_form_d0(c), psi_row(sys, x, y, theta))
             assert np.allclose(closed, generic, rtol=1e-8,
                                atol=1e-8 * (1 + np.abs(generic).max()))
 
@@ -188,7 +201,7 @@ class TestInfluence:
         beta = np.array([1.0])
         # MM residual zero and the scale row exactly at its target
         y = float(m.value(np.array([[0.3]]), beta)[0] + c.alpha01)
-        got = influence_mm(np.array([0.3]), y, m, beta, c)
+        got = influence_full(np.array([0.3]), y, m, beta, c)[2:4]
         t_s = (y - m.value(np.array([[0.3]]), beta)[0] - c.alpha00) / c.sigma0
         if abs(RHO0.rho(t_s) - 0.5) < 1e-12:
             assert np.allclose(got, 0.0, atol=1e-12)
@@ -209,7 +222,7 @@ class TestInfluence:
         beta = np.array([1.0, -1.0])
         x = rng.normal(size=2)
         y = float(rng.normal())
-        got = influence_mm(x, y, m, beta, c)
+        got = influence_full(x, y, m, beta, c)[3:6]
         t = (y - m.value(x[None], beta)[0]) / c.sigma0
         lead = c.sigma0 / c.a01 * RHO1.psi(t)
         want_beta = lead * np.linalg.solve(c.A0, m.grad(x[None], beta)[0] - c.b0)
@@ -223,8 +236,8 @@ class TestInfluence:
             c = random_constants(rng, 0)
             theta = np.array([c.alpha00, c.alpha01, c.sigma0])
             y = float(rng.normal() * 2.0)
-            got = influence_location(y, c)
-            generic = -np.linalg.solve(closed_form_d0(c), sys.psi(np.zeros(0), y, theta))
+            got = influence_full(np.zeros(0), y, m, np.zeros(0), c)[1]
+            generic = -np.linalg.solve(closed_form_d0(c), psi_row(sys, np.zeros(0), y, theta))
             assert got == pytest.approx(generic[1], rel=1e-10, abs=1e-10)
 
     def test_degenerate_constants_error(self):
@@ -235,12 +248,11 @@ class TestInfluence:
                                  sigma0=base.sigma0, alpha00=0.0, alpha01=0.0,
                                  rho0=RHO0, rho1=RHO1, delta=0.5)
         with pytest.raises(SingularityError) as err:
-            influence_mm(np.array([0.1]), 1.0, linear_model(1), np.array([1.0]), bad)
+            influence_full(np.array([0.1]), 1.0, linear_model(1), np.array([1.0]), bad)
         assert err.value.factor == "a01"
 
     def test_scale_influence_at_population_constants(self):
         from scipy import integrate
-        from robustmm.inference import influence_scale
         from robustmm.montecarlo import make_error_law, population_constants
         law = make_error_law("normal")
         c = population_constants(law, RHO0, RHO1, 0.5, np.array([0.3, -0.2]), np.eye(2))
@@ -249,16 +261,15 @@ class TestInfluence:
         for u in np.concatenate([rng.normal(size=20), [0.0, 5.0, -40.0]]):
             x = rng.normal(size=2)
             y = float(x @ beta + u)
-            got = influence_scale(x, y, m, beta, c)
+            got = influence_full(x, y, m, beta, c)[-1]
             t_s = (u - c.alpha00) / c.sigma0
             assert got == pytest.approx(c.sigma0 / c.d0 * (RHO0.rho(t_s) - 0.5),
                                         rel=1e-12, abs=1e-12)
-            assert got == influence_full(x, y, m, beta, c)[-1]
         # mean zero under the law: the population scale equation
         x = np.array([0.4, 0.7])
         lo, hi = c.alpha00 - RHO0.k * c.sigma0, c.alpha00 + RHO0.k * c.sigma0
         inside, _ = integrate.quad(
-            lambda u: influence_scale(x, float(x @ beta + u), m, beta, c) * law.pdf(u),
+            lambda u: influence_full(x, float(x @ beta + u), m, beta, c)[-1] * law.pdf(u),
             lo, hi, limit=200)
         outside = (c.sigma0 / c.d0 * 0.5) * (law.cdf(lo) + 1.0 - law.cdf(hi))
         assert abs(inside + outside) <= 1e-8
@@ -284,9 +295,9 @@ class TestEmpiricalD0:
     def test_exact_for_location(self):
         rng = np.random.default_rng(17)
         y = rng.normal(size=200)
-        res = fit_location(y, CFG)
         d = Dataset(x=np.zeros((200, 0)), y=y)
         m = location_model()
+        res = fit(d, m, CFG)
         sys = PsiSystem(m, CFG.rho0, CFG.rho1, CFG.delta)
         D_emp = sys.empirical_d0(d, res.theta_vector())
         c = plugin_constants(d, m, res, CFG)
@@ -340,8 +351,8 @@ class TestAsymptoticCov:
     def test_symmetric_route_close_at_normal(self):
         rng = np.random.default_rng(22)
         y = rng.normal(size=1000)
-        res = fit_location(y, CFG)
         d = Dataset(x=np.zeros((1000, 0)), y=y)
+        res = fit(d, location_model(), CFG)
         rep = asymptotic_cov(d, location_model(), res, CFG, symmetric=True)
         assert rep.symmetric_discrepancy < 0.10
 

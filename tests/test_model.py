@@ -126,13 +126,13 @@ class TestAugmented:
         m = linear_model(2)
         X = np.array([[3.0, -1.0]])
         xi = AugmentedParam(beta=[1.0, 1.0], alpha=0.0)
-        assert np.array_equal(augmented_grad_rows(m, X, xi)[0], [3.0, -1.0, 1.0])
+        assert np.array_equal(augmented_grad_rows(m, X, xi.beta)[0], [3.0, -1.0, 1.0])
         assert np.array_equal(augmented_hess_rows(m, X, xi)[0], np.zeros((3, 3)))
 
     def test_alpha_component_is_one(self):
         m = exp_model()
         xi = AugmentedParam(beta=[2.0, 0.3], alpha=5.0)
-        g = augmented_grad_rows(m, np.array([[0.7]]), xi)[0]
+        g = augmented_grad_rows(m, np.array([[0.7]]), xi.beta)[0]
         assert g[-1] == 1.0
 
     def test_fd_consistency(self):
@@ -144,7 +144,7 @@ class TestAugmented:
         def gbar(v):
             return m.value(X, v[:2])[0] + v[2]
 
-        got = augmented_grad_rows(m, X, xi)[0]
+        got = augmented_grad_rows(m, X, xi.beta)[0]
         want = fd_grad(gbar, xi.as_array())
         assert np.allclose(got, want, rtol=1e-5, atol=1e-8)
 
@@ -152,10 +152,19 @@ class TestAugmented:
         m = linear_model(2)
         X = np.arange(8.0).reshape(4, 2)
         xi = AugmentedParam(beta=[1.0, 1.0], alpha=0.0)
-        J = augmented_grad_rows(m, X, xi)
+        J = augmented_grad_rows(m, X, xi.beta)
         assert J.shape == (4, 3)
         assert np.array_equal(J[:, :2], X)
         assert np.array_equal(J[:, 2], np.ones(4))
+
+    def test_beta_stack(self):
+        m = exp_model()
+        X = np.linspace(-1.0, 1.0, 5)[:, None]
+        B = np.array([[1.2, -0.4], [0.5, 0.3], [-2.0, 1.0]])
+        J = augmented_grad_rows(m, X, B)
+        assert J.shape == (3, 5, 3)
+        for b, Jb in zip(B, J):
+            assert np.array_equal(Jb, augmented_grad_rows(m, X, b))
 
 
 def exp_row(x, beta):
