@@ -273,7 +273,11 @@ def check_identifiability(d: Dataset) -> IdentifiabilityReport:
     """
     msgs = []
     design = np.column_stack([d.x, np.ones(d.n)])
-    rank = int(np.linalg.matrix_rank(design))
+    # each column over its largest |value|, so that the rank tolerance,
+    # which follows the largest singular value, does not drop a column
+    # that is merely small next to the others
+    top = np.abs(design).max(axis=0, initial=0.0)
+    rank = int(np.linalg.matrix_rank(design / np.where(top > 0.0, top, 1.0)))
     required = d.p + 1
 
     const_cols = tuple(int(j) for j in range(d.p)

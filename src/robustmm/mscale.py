@@ -6,13 +6,16 @@ convergent; the public ``mscale`` certifies its root at the objective
 level, |mean rho0(r/sigma) - delta| <= CERT_TOL, whenever it is positive.
 
 Both solvers return exactly the sigma of a plain bracket-then-bisect
-scheme, but evaluate the loss only at the bisection midpoints that no
-earlier evaluation decides. The computed mean loss is within 1e-14 of
-the true one, so a point where it exceeds delta by more than DECIDE_TOL
-lies below the root and decides every smaller midpoint, and one where
-it falls short by as much decides every larger one. A few regula falsi
-steps place such points close to the root on both sides before the
-bisection starts.
+scheme, but evaluate the loss only where that scheme's answer needs it.
+The computed mean loss is within 1e-14 of the true one, so a point where
+it exceeds delta by more than DECIDE_TOL lies below the root: it decides
+every smaller bisection midpoint, and proves that a lower bracket end at
+or below it is kept as it is. A point where the mean loss falls short of
+delta by as much decides every larger midpoint and every upper end at or
+above it. Steps in log sigma place such points close to the root on both
+sides before the bisection starts. The batch solver starts each row near
+its root and evaluates a cold bracket end, and expands it, only where no
+such point decides it; the scalar solver steps from its upper end.
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ def _loss_eval(rho0: RhoFunction):
 #: a computed mean loss this far from delta decides the bisection steps
 #: it was not evaluated at; its rounding error is below 1e-14
 DECIDE_TOL = 1e-12
-#: cap on the regula falsi steps that precede the bisection
-REGULA_FALSI_STEPS = 12
+#: cap on the Illinois or secant steps that precede the bisection
+SEARCH_STEPS = 12
 #: elements per block of a batch loss pass, which then stays in cache
 CHUNK_POINTS = 2 ** 15
 
@@ -182,11 +185,11 @@ def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float,
     x0, g0, x1, g1, side = math.log(lo), 1.0 - delta, math.log(hi), g_hi, 0
     close = hi if abs(g_hi) <= DECIDE_TOL else None
     lo_done = False
-    for step in range(0 if close is not None else REGULA_FALSI_STEPS):
+    for step in range(0 if close is not None else SEARCH_STEPS):
         if above - below <= tol * below or not x0 < x1:
             break
-        x = x1 - g1 * (x1 - x0) / (g1 - g0)
-        if not x0 < x < x1:
+        x = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else math.nan
+        if not x0 < x < x1:  # equal gaps too: the midpoint
             x = 0.5 * (x0 + x1)
         s = math.exp(x)
         g = gap(s)
@@ -251,31 +254,34 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
     ``max_iter`` bisection steps. The root is not certified against the
     objective; ``mscale`` does that for its one row.
 
-    The answer is bit for bit that of a plain batch bisection: expand each
-    row's bracket until mean rho0(|r|/lo) >= delta >= mean rho0(|r|/hi),
-    then bisect all rows together until every row meets ``tol``. So a
-    row's sigma depends on the other rows of the batch: it stays inside
-    the bracket of its one-row solve, within ``tol`` relative of that
-    answer, but is not equal to it bit for bit. A one-row call gives the
-    same sigma as ``_mscale_scalar`` bit for bit. ``lo_init``/``hi_init``
-    are warm bracket guesses; they are expanded whenever they do not
-    straddle the root, so a bad guess costs iterations, never correctness.
-    With ``overwrite_input`` the absolute residuals are taken in R itself,
-    which saves an R-sized copy.
+    The answer is bit for bit that of a plain batch bisection, which
+    expands each row's cold or warm bracket until mean rho0(|r|/lo) >=
+    delta >= mean rho0(|r|/hi), then bisects all rows together until every
+    row meets ``tol``. So a row's sigma depends on the other rows of the
+    batch: it stays inside the bracket of its one-row solve, within ``tol``
+    relative of that answer, but is not equal to it bit for bit. A one-row
+    call gives the same sigma as ``_mscale_scalar`` bit for bit.
+    ``lo_init``/``hi_init`` are warm bracket guesses; they are expanded
+    whenever they do not straddle the root, so a bad guess costs
+    iterations, never correctness. With ``overwrite_input`` the absolute
+    residuals are taken in R itself, which saves an R-sized copy.
 
-    The loss is evaluated only where the answer needs it: during the
-    expansion on the rows whose bracket is still bad, during the
-    bisection on the rows whose midpoint no earlier point decides
-    (module docstring), in place in cache-sized blocks (``_mean_loss``)
-    that leave every row's sum as it is. In between, up to
-    REGULA_FALSI_STEPS Illinois steps per row place deciding points close
-    to each root on both sides; a step that lands within DECIDE_TOL of
-    the root is followed by probes at tol / 100 either side of it. They
-    step in log sigma because a cold bracket spans about two decades: on
-    the 500 x 5000 quick-refine matrices of a 5000-row linear fit a call
-    then takes about 11.3 loss passes over the matrix, against 12.9 with
-    the probes at tol / 4, about 19 with the steps in sigma and 39 for
-    plain bisection.
+    The loss is evaluated in place in cache-sized blocks (``_mean_loss``)
+    that leave every row's sum as it is, and only at points that can
+    decide something. Each row starts at 1.4826 median |r|, or at the
+    middle of its warm bracket in log sigma, steps the gap over a slope of
+    -0.4 per unit of log sigma next, and then takes secant steps in log
+    sigma, up to SEARCH_STEPS points in all. A secant step whose error
+    estimate is below tol / 100, or a point that lands within DECIDE_TOL
+    of the root, gives way to probes at tol / 100 either side of it. After
+    that a row evaluates a bracket end, and expands it, only where no
+    deciding point proves it (module docstring); the bisection evaluates
+    only the midpoints that no point decides. On the 500 x 5000
+    quick-refine matrices of a 5000-row linear fit a call takes about 5.9
+    loss passes over the matrix, against 11.3 when every row evaluated
+    both cold ends first and took Illinois steps from them, and 39 for
+    plain bisection. On the benchmark's fits only the one-row solves at
+    tol 1e-12 of ``mscale`` evaluate a cold end.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[1] == 0:
@@ -318,7 +324,7 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
     else:
         hi_a = np.broadcast_to(np.asarray(hi_init, dtype=float), (ma,)).copy()
 
-    below = np.full(ma, -np.inf)  # sigmas known to lie below / above the root
+    below = np.zeros(ma)  # sigmas known to lie below / above the root
     above = np.full(ma, np.inf)
 
     def gap(rows, s):
@@ -329,58 +335,57 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
         above[rows[hit]] = np.minimum(above[rows[hit]], s[hit])
         return g
 
-    # expand geometrically until mean loss(lo) >= delta >= mean loss(hi)
-    everyone = np.arange(ma)
-    stuck = np.zeros(ma, dtype=bool)
-    g_lo = np.zeros(ma)
-    g_hi = np.zeros(ma)
-    rows = everyone
-    for _ in range(max_iter):
-        g_lo[rows] = gap(rows, lo_a[rows])
-        rows = rows[g_lo[rows] < 0.0]
-        if rows.size == 0:
-            break
-        lo_a[rows] *= 0.5
-    stuck[rows] = True
-    rows = everyone
-    for _ in range(max_iter):
-        g_hi[rows] = gap(rows, hi_a[rows])
-        rows = rows[g_hi[rows] > 0.0]
-        if rows.size == 0:
-            break
-        hi_a[rows] *= 2.0
-    stuck[rows] = True
-
-    # locate each root by regula falsi (Illinois variant) in log sigma
-    x0, g0, x1, g1 = np.log(lo_a), g_lo, np.log(hi_a), g_hi
-    side = np.zeros(ma)
-    rows = everyone
-    for _ in range(REGULA_FALSI_STEPS):
+    # place deciding points near each root: 1.4826 median |r| (near it at
+    # delta 0.5) or the middle of a warm bracket, a step of the gap over a
+    # slope of -0.4 per unit of log sigma, then secant steps in log sigma
+    # on the two latest points, strictly inside the points decided so far
+    # and at most 3 from the latest while a side is unknown
+    xb = np.log(1.4826 * med) if lo_init is None else 0.5 * (np.log(lo_a) + np.log(hi_a))
+    xa, ga, gb = np.zeros(ma), np.zeros(ma), np.zeros(ma)
+    h = 0.01 * tol  # probe spacing: enough to clear DECIDE_TOL at tol 1e-8
+    rows = np.arange(ma)
+    for step in range(SEARCH_STEPS):
         rows = rows[~(above[rows] - below[rows] <= tol * below[rows])]
         if rows.size == 0:
             break
-        a, ga, b, gb = x0[rows], g0[rows], x1[rows], g1[rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = b - gb * (b - a) / (gb - ga)
-        x = np.where((ga > gb) & (a < x) & (x < b), x, 0.5 * (a + b))
-        s = np.exp(x)
-        g = gap(rows, s)
-        close = np.abs(g) <= DECIDE_TOL
-        if np.any(close):
-            # too close to the root to decide anything: probe either
-            # side of it instead
-            gap(rows[close], s[close] * (1.0 - 0.01 * tol))
-            gap(rows[close], s[close] * (1.0 + 0.01 * tol))
-        pos, neg = g > DECIDE_TOL, g < -DECIDE_TOL
-        r = rows[pos]
-        x0[r], g0[r] = x[pos], g[pos]
-        g1[r[side[r] > 0]] *= 0.5
-        side[r] = 1
-        r = rows[neg]
-        x1[r], g1[r] = x[neg], g[neg]
-        g0[r[side[r] < 0]] *= 0.5
-        side[r] = -1
-        rows = rows[pos | neg]
+        a, b, g1 = xa[rows], xb[rows], gb[rows]
+        if step == 0:
+            x = b
+        elif step == 1:
+            x = b + np.clip(g1 / 0.4, -0.7, 0.7)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = b - g1 * (b - a) / (g1 - ga[rows])
+                lb, ub = np.log(below[rows]), np.log(above[rows])
+            x = np.clip(np.where((lb < x) & (x < ub), x, 0.5 * (lb + ub)), b - 3.0, b + 3.0)
+        # a secant step misses the root by about |f''/2f'| |x - b| |x - a|,
+        # and that ratio is below 1 here: where the product is below h, or
+        # where x proves within DECIDE_TOL of the root, probe either side of
+        # x instead
+        pair = (step >= 2) & (np.abs(x - b) * np.abs(x - a) <= h)
+        s, g = np.exp(x), np.zeros(rows.size)
+        g[~pair] = gap(rows[~pair], s[~pair])
+        pair |= np.abs(g) <= DECIDE_TOL
+        xa[rows], ga[rows], xb[rows], gb[rows] = b, g1, x, g
+        r = rows[pair]
+        xa[r], ga[r] = x[pair] + math.log1p(-h), gap(r, s[pair] * (1.0 - h))
+        xb[r], gb[r] = x[pair] + math.log1p(h), gap(r, s[pair] * (1.0 + h))
+        # go on where the latest points decided something
+        rows = rows[(np.abs(gb[rows]) > DECIDE_TOL) | pair & (np.abs(ga[rows]) > DECIDE_TOL)]
+
+    # the plain scheme's ends: a deciding point at or above lo proves
+    # mean loss(lo) > delta, one at or below hi proves mean loss(hi) < delta;
+    # the other rows evaluate their end and expand it geometrically
+    stuck = np.zeros(ma, dtype=bool)
+    for end, known, bad, factor in ((lo_a, below, np.less, 0.5),
+                                    (hi_a, above, np.greater, 2.0)):
+        rows = np.flatnonzero(bad(known, end))
+        for _ in range(max_iter):
+            rows = rows[bad(gap(rows, end[rows]), 0.0)]
+            if rows.size == 0:
+                break
+            end[rows] *= factor
+        stuck[rows] = True
 
     for _ in range(max_iter):
         if np.all(hi_a - lo_a <= tol * hi_a):
@@ -425,10 +430,17 @@ def mscale(residuals, rho0: RhoFunction, delta: float = DEFAULT_DELTA) -> float:
 
     sigma, lo, hi, status = _mscale_batch(r[None, :], rho0, delta,
                                           SCALE_TOL, SCALE_MAX_ITER)
+    if (status[0] == 2 and lo[0] > 0.0
+            and mscale_objective(r, rho0, lo[0]) >= delta >= mscale_objective(r, rho0, hi[0])):
+        # the bracket straddles the root but was too wide for SCALE_MAX_ITER
+        # bisection steps (a cold upper end near 1e51 takes about 210):
+        # bisect on, as many steps as its width needs
+        steps = math.ceil(math.log2(hi[0] / (lo[0] * SCALE_TOL))) + 2
+        sigma, lo, hi, status = _mscale_batch(r[None, :], rho0, delta, SCALE_TOL,
+                                              steps, lo_init=lo, hi_init=hi)
     s = float(sigma[0])
     if status[0] == 2 or (status[0] == 0 and
                           abs(mscale_objective(r, rho0, s) - delta) > CERT_TOL):
-        raise ConvergenceError(
-            f"M-scale bisection did not certify a root within {SCALE_MAX_ITER} iterations",
-            bracket=(float(lo[0]), float(hi[0])))
+        raise ConvergenceError("M-scale bisection did not certify a root",
+                               bracket=(float(lo[0]), float(hi[0])))
     return s

@@ -384,11 +384,12 @@ class TestSimulate:
         assert [c["passed"] for c in report["claims"][1:]] == [None, None]
 
     def test_failed_contaminated_refit_strict_json(self, tmp_path):
-        # 20 % of the responses at 1e50: the refit raises, its deviation is inf
+        # 20 % of the responses at 1.7e308: the refit overflows to a
+        # non-finite residual and raises, its deviation is inf
         scen = tmp_path / "refit-fails.cfg"
         scen.write_text("kind = contamination\np = 1\nsizes = 30\nreplications = 1\n"
                         "n_subsamples = 10\ncontamination_fractions = 0.2\n"
-                        "outlier_magnitudes = 100, 1e50\n")
+                        "outlier_magnitudes = 100, 1.7e308\n")
         out = tmp_path / "rep.json"
         assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 1
         report = strict_json(out.read_text())
@@ -397,6 +398,17 @@ class TestSimulate:
         assert worst["passed"] is False and worst["value"] is None
         assert worst["detail"] == "a contaminated refit failed"
         assert report["summary"]["worst_se_multiple"] is None
+
+    def test_saturating_outliers_give_a_report(self, tmp_path):
+        # outliers at 1e150 and 1e200 saturate the loss over whole warm
+        # brackets of the S refinement's scale solves
+        scen = tmp_path / "saturating.cfg"
+        scen.write_text("kind = contamination\np = 1\nsizes = 40\nreplications = 2\n"
+                        "contamination_fractions = 0.2, 0.4\n"
+                        "outlier_magnitudes = 1e150, 1e200\n")
+        out = tmp_path / "rep.json"
+        assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) in (0, 1)
+        assert strict_json(out.read_text())["kind"] == "contamination"
 
     def test_location_normal_bundled(self, tmp_path):
         out = tmp_path / "rep.json"

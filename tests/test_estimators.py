@@ -316,6 +316,17 @@ class TestRobustness:
         assert abs(dirty.xi_mm.beta[0] - clean.xi_mm.beta[0]) < 10 * se
 
 
+    def test_far_outliers_certified(self):
+        # 6 of 30 responses at 1e50 put the certified M-scale's cold upper
+        # end near 1e51, wider than SCALE_MAX_ITER bisection steps shrink
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(30, 1))
+        y = X[:, 0] + rng.normal(size=30)
+        y[:6] = 1e50
+        res = fit(Dataset(x=X, y=y), linear_model(1), FitConfig(n_subsamples=50, seed=4))
+        assert res.certified
+        assert abs(res.xi_mm.beta[0] - 1.0) < 1.0
+
 def _box_loop(d, m, n_sub, rng):
     """Box candidates one draw at a time, as the search drew them before
     it was batched."""

@@ -301,6 +301,18 @@ class TestIdentifiability:
         assert not rep.at_risk
         assert rep.rank == 4
 
+    def test_rank_ignores_column_scale(self):
+        # at 1e200 the predictors would put the intercept column below the
+        # rank tolerance; a constant or a duplicated column still counts
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(50, 2)) * 1e200
+        rep = check_identifiability(Dataset(x=X, y=rng.normal(size=50)))
+        assert not rep.at_risk and rep.rank == 3
+        for bad in (np.column_stack([X, np.full(50, 1e200)]),
+                    np.column_stack([X, X[:, 0]])):
+            rep = check_identifiability(Dataset(x=bad, y=rng.normal(size=50)))
+            assert rep.at_risk and rep.rank == 3
+
     def test_duplicated_point_flagged(self):
         X = np.tile([[1.0, 2.0]], (25, 1))
         rep = check_identifiability(Dataset(x=X, y=np.zeros(25)))

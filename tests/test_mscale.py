@@ -131,6 +131,16 @@ class TestMScale:
         lo, hi = err.value.bracket
         assert lo <= 3.0 < hi
 
+    def test_wide_bracket_bisected_to_tolerance(self):
+        # 6 of 30 residuals at 1e50: the cold bracket [median / k, 1e51 k]
+        # needs about 210 bisection steps to shrink to SCALE_TOL
+        rng = np.random.default_rng(19)
+        r = rng.normal(size=30)
+        r[:6] = 1e50
+        s = mscale(r, RHO, DELTA)
+        assert abs(mscale_objective(r, RHO, s) - DELTA) <= mscale_module.CERT_TOL
+        assert abs(s - bisect_oracle(r, RHO, DELTA)) <= 1e-10 * s
+
     def test_other_delta(self):
         rng = np.random.default_rng(29)
         r = rng.normal(size=60)
@@ -283,6 +293,20 @@ class TestScalarSolver:
             assert mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200, lo_init=lo,
                                                 hi_init=hi, hi_gap=self._gap(r, 0.5, hi)) == \
                 plain_bisection(r, RHO, 0.5, self.TOL, 200, lo=lo, hi=hi)
+
+    def test_equal_gaps_take_the_midpoint(self):
+        # 8 of 40 residuals at 1e150 saturate the loss all over the warm
+        # bracket, so the gap is the same at both ends of an Illinois step
+        rng = np.random.default_rng(89)
+        r = rng.normal(size=40)
+        r[::5] = 1e150
+        lo, hi = 1e90, 4e90
+        g = self._gap(r, 0.5, hi)
+        assert g == self._gap(r, 0.5, 0.5 * (lo + hi)) < 0.0
+        for tol in (1e-8, 1e-10):
+            assert mscale_module._mscale_scalar(r, RHO, 0.5, tol, 200, lo_init=lo,
+                                                hi_init=hi, hi_gap=g) == \
+                plain_bisection(r, RHO, 0.5, tol, 200, lo=lo, hi=hi)
 
     @staticmethod
     def _count_loss_calls(monkeypatch):
@@ -526,6 +550,35 @@ class TestBatchSolver:
         got = mscale_module._mscale_batch(R, RHO, 0.5, self.TOL, 150)
         assert_same_solve(got, want)
         assert sum(points) <= 0.5 * plain
+
+    #: loss points over ``_matrices()`` at tol 1e-8 and delta 0.25, 0.5 and
+    #: 0.75 of the solver that evaluated both cold ends of every row first
+    BOTH_ENDS_POINTS = {0.25: 3058038, 0.5: 2240670, 0.75: 2239980}
+
+    def test_loss_points_pinned(self, monkeypatch):
+        points = []
+        factory = mscale_module._loss_eval
+
+        def counting(rho0):
+            loss = factory(rho0)
+
+            def ev(t):
+                points.append(t.size)
+                return loss(t)
+            return ev
+
+        monkeypatch.setattr(mscale_module, "_loss_eval", counting)
+        rng = np.random.default_rng(67)  # the outlier matrix above
+        R = rng.standard_t(df=3, size=(100, 2000)) * rng.uniform(0.5, 2.0, size=(100, 1))
+        R[:, :400] += rng.normal(40.0, 5.0, size=(100, 400))
+        mscale_module._mscale_batch(R, RHO, 0.5, self.TOL, 150)
+        assert sum(points) <= 8 * R.size
+        for delta, before in self.BOTH_ENDS_POINTS.items():
+            points.clear()
+            for R in self._matrices():
+                assert_same_solve(mscale_module._mscale_batch(R, RHO, delta, self.TOL, 150),
+                                  plain_batch_bisection(R, RHO, delta, self.TOL, 150))
+            assert sum(points) <= before
 
     def test_one_row_calls_equal_scalar(self):
         rng = np.random.default_rng(43)
