@@ -46,6 +46,10 @@ SMALL = {
                                    "beta0 = 1.0\nsizes = 60\nreplications = 2\n"
                                    "n_subsamples = 20\ncontamination_fractions = 0.0, 0.2\n"
                                    "outlier_magnitudes = 100\n",
+    # far outliers: their M-scale brackets span hundreds of binary orders
+    "contamination-saturating": "kind = contamination\np = 1\nsizes = 40\nreplications = 2\n"
+                                "contamination_fractions = 0.2, 0.4\n"
+                                "outlier_magnitudes = 1e150, 1e200\n",
 }
 
 

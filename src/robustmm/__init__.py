@@ -6,7 +6,7 @@ functions, sandwich standard errors and a Monte Carlo harness that
 checks the estimators' asymptotic behavior at desk scale.
 """
 
-from .estimators import FitConfig, FitResult, fit, fit_mm, fit_s
+from .estimators import FitConfig, FitResult, fit
 from .exceptions import (ConvergenceError, DomainError, FitError,
                          RobustmmError, ScenarioError, SingularityError)
 from .inference import (InferenceConstants, InferenceReport, PsiSystem,
@@ -33,7 +33,7 @@ __all__ = [
     "ScenarioError", "SingularityError", "asymptotic_cov", "bisquare",
     "check_identifiability", "closed_form_c0_inv", "closed_form_d0",
     "closed_form_d0_inv", "custom_rho", "exp_model", "fd_model", "fit",
-    "fit_mm", "fit_s", "influence_full", "k_for_breakdown", "k_for_efficiency",
+    "influence_full", "k_for_breakdown", "k_for_efficiency",
     "linear_model", "load_csv", "load_scenario", "location_model", "mscale",
     "mscale_objective", "plugin_constants", "residuals", "rho_from_config",
     "run_consistency", "run_contamination", "run_expansion_check",

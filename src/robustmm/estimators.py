@@ -24,12 +24,12 @@ import numpy as np
 from .exceptions import ConvergenceError, FitError
 from .inference import PsiSystem
 from .model import AugmentedParam, Dataset, RegressionModel, augmented_grad_rows, residuals
-from .mscale import (DECIDE_TOL, SCALE_MAX_ITER, SCALE_TOL, _loss_eval, _mean_loss,
-                     _mscale_batch, _mscale_scalar, mscale)
+from .mscale import (DECIDE_TOL, SCALE_TOL, _loss_eval, _mean_loss, _mscale_batch,
+                     _mscale_scalar, mscale)
 from .rho import (DEFAULT_DELTA, DEFAULT_K0, DEFAULT_K1, RhoFunction,
                   bisquare, verify_r1)
 
-__all__ = ["FitConfig", "FitResult", "fit", "fit_s", "fit_mm"]
+__all__ = ["FitConfig", "FitResult", "fit"]
 
 #: scale ties below this are broken by parameter norm, then candidate index
 TIE_TOL = 1e-12
@@ -195,15 +195,17 @@ def _rank_scales(R: np.ndarray, prev: np.ndarray, cfg: FitConfig) -> np.ndarray:
     rows with the smallest ``prev`` have roots at or below s_k, the largest
     upper end of their brackets; a row whose mean rho0(|r| / s_k) exceeds
     delta + DECIDE_TOL has a larger root. Exact fits always pass; if s_k = 0
-    or a seed has status 2 (its bracket bounds nothing), all rows are kept."""
+    or a seed has status 2 (its bracket bounds nothing), all rows are kept.
+    R is overwritten by its absolute values, which the screen's loss needs."""
+    R = np.abs(R, out=R)
     seeds = np.argsort(prev, kind="stable")[:N_BEST]
-    _, _, hi, status = _mscale_batch(R[seeds], cfg.rho0, cfg.delta, 1e-8, 150)
+    _, _, hi, status = _mscale_batch(R[seeds], cfg.rho0, cfg.delta, 1e-8)
     keep = np.ones(len(R), dtype=bool)  # R[keep] is a copy, which the solve overwrites
     if hi.max() > 0.0 and not np.any(status == 2):
         rows, s_k = np.arange(len(R)), np.full(len(R), hi.max())
         keep = _mean_loss(R, rows, s_k, _loss_eval(cfg.rho0)) - cfg.delta <= DECIDE_TOL
         keep[seeds] = True
-    sigma, _, _, status = _mscale_batch(R[keep], cfg.rho0, cfg.delta, 1e-8, 150,
+    sigma, _, _, status = _mscale_batch(R[keep], cfg.rho0, cfg.delta, 1e-8,
                                         overwrite_input=True)
     out = np.full(len(R), np.inf)
     out[keep] = np.where(status == 1, 0.0, sigma)
@@ -257,7 +259,7 @@ def _quick_refine(d: Dataset, m: RegressionModel, XI: np.ndarray,
     N_BEST (``_rank_scales``)."""
     for _ in range(REFINE_STEPS):
         R = _residual_matrix(d, m, XI)
-        sigma, _, _, status = _mscale_batch(R, cfg.rho0, cfg.delta, 1e-8, 150)
+        sigma, _, _, status = _mscale_batch(R, cfg.rho0, cfg.delta, 1e-8)
         if np.any(status == 1):  # exact fits cannot be beaten
             return XI, np.where(status == 1, 0.0, sigma)
         _refine_pass(d, m, XI, R, sigma, cfg.rho0)
@@ -316,12 +318,12 @@ def _refine_s_full(d: Dataset, m: RegressionModel, xi: np.ndarray,
     solve_tol = max(SCALE_TOL, min(1e-8, step_tol))
     xi = xi.copy()
     r = residuals(d, m, AugmentedParam.from_array(xi))
-    sigma = _mscale_scalar(r, cfg.rho0, cfg.delta, solve_tol, SCALE_MAX_ITER)
+    sigma = _mscale_scalar(r, cfg.rho0, cfg.delta, solve_tol)
     if sigma == 0.0:
         return xi, 0.0, 0, True
 
     def rescale(r_trial, value, sigma, gate):
-        return _mscale_scalar(r_trial, cfg.rho0, cfg.delta, solve_tol, SCALE_MAX_ITER,
+        return _mscale_scalar(r_trial, cfg.rho0, cfg.delta, solve_tol,
                               lo_init=0.25 * sigma, hi_init=gate,
                               hi_gap=value - cfg.delta), cfg.delta
 
@@ -340,9 +342,12 @@ def _pick_best(XI: np.ndarray, sigma: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# public stages
+# stages
 
 def _fit_s_stage(d: Dataset, m: RegressionModel, cfg: FitConfig):
+    """S-estimate: the candidate minimizing the M-scale of its residuals,
+    with the attained scale, 0 on an exact fit. Returns (xi, sigma,
+    candidates, iterations, converged)."""
     if d.n < m.q + 2:
         raise ValueError(f"need at least q + 2 = {m.q + 2} observations, got {d.n}")
     rng = cfg.rng()
@@ -388,29 +393,16 @@ def _fit_s_stage(d: Dataset, m: RegressionModel, cfg: FitConfig):
             iters_total + sum(its), conv[best])
 
 
-def fit_s(d: Dataset, m: RegressionModel, cfg: FitConfig):
-    """S-estimate: the candidate minimizing the M-scale of its residuals,
-    together with the attained scale. A zero scale flags an exact fit."""
-    return _fit_s_stage(d, m, cfg)[:2]
-
-
 def _mm_objective(r: np.ndarray, rho1: RhoFunction, sigma: float) -> float:
     return float(np.mean(rho1.rho(r / sigma)))
 
 
-def fit_mm(d: Dataset, m: RegressionModel, cfg: FitConfig, sigma: float,
-           start: AugmentedParam) -> AugmentedParam:
-    """MM stage: descend mean rho1(r / sigma) at fixed sigma from the S
-    solution; raises ConvergenceError, carrying the last iterate, at
-    IRWLS_MAX_ITER iterations."""
-    xi, _, _ = _fit_mm_stage(d, m, cfg, sigma, start)
-    return xi
-
-
 def _fit_mm_stage(d: Dataset, m: RegressionModel, cfg: FitConfig, sigma: float,
                   start: AugmentedParam):
-    """``_descend`` on rho1 at fixed sigma with the current objective as
-    the level. Returns (xi, iterations, objective)."""
+    """MM stage: ``_descend`` on rho1 at fixed sigma from ``start`` with
+    the current objective as the level. Returns (xi, iterations,
+    objective); raises ConvergenceError, carrying the last iterate, at
+    IRWLS_MAX_ITER iterations."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     r = residuals(d, m, start)

@@ -5,17 +5,23 @@ nonincreasing in sigma, so a bracketed bisection is unconditionally
 convergent; the public ``mscale`` certifies its root at the objective
 level, |mean rho0(r/sigma) - delta| <= CERT_TOL, whenever it is positive.
 
-Both solvers return exactly the sigma of a plain bracket-then-bisect
-scheme, but evaluate the loss only where that scheme's answer needs it.
-The computed mean loss is within 1e-14 of the true one, so a point where
-it exceeds delta by more than DECIDE_TOL lies below the root: it decides
-every smaller bisection midpoint, and proves that a lower bracket end at
-or below it is kept as it is. A point where the mean loss falls short of
-delta by as much decides every larger midpoint and every upper end at or
-above it. Steps in log sigma place such points close to the root on both
-sides before the bisection starts. The batch solver starts each row near
-its root and evaluates a cold bracket end, and expands it, only where no
-such point decides it; the scalar solver steps from its upper end.
+``_mscale_scalar`` solves one residual vector, ``_mscale_batch`` the rows
+of a matrix. Both return exactly the sigma of a plain bracket-then-bisect
+scheme, which expands each bracket end at most SCALE_MAX_ITER times and
+then bisects until the bracket meets ``tol``, however many binary orders
+it spans (``_bisection_steps``). Only a bracket that no expansion makes
+straddle the root, or one whose subnormal ends stall, misses ``tol``: a
+batch row with status 2. Both solvers evaluate the loss only where that
+scheme's answer needs it. The computed mean loss is within 1e-14 of the
+true one, so a point where it exceeds delta by more than DECIDE_TOL lies
+below the root: it decides every smaller bisection midpoint, and proves
+that a lower bracket end at or below it is kept as it is. A point where
+the mean loss falls short of delta by as much decides every larger
+midpoint and every upper end at or above it. Steps in log sigma place such
+points close to the root on both sides before the bisection starts. The
+batch solver starts each row near its root and evaluates a cold bracket
+end, and expands it, only where no such point decides it; the scalar
+solver steps from its upper end.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ __all__ = ["mscale", "mscale_objective"]
 CERT_TOL = 1e-10
 #: relative tolerance on sigma of the public solve
 SCALE_TOL = 1e-12
-#: cap on bracket expansions and on bisection steps
+#: cap on the expansions of each bracket end, and on the bisection steps
+#: of a bracket whose end is zero or not finite
 SCALE_MAX_ITER = 200
 
 
@@ -52,8 +59,8 @@ def mscale_objective(residuals, rho0: RhoFunction, sigma: float) -> float:
 
 def _loss_eval(rho0: RhoFunction):
     """Unchecked vectorized loss for the solvers' hot loops; the caller
-    guarantees finite input. The returned callable may overwrite its
-    argument, so callers pass it scratch arrays or temporaries: the
+    guarantees finite input t >= 0. The returned callable may overwrite
+    its argument, so callers pass it scratch arrays or temporaries: the
     bisquare loss is computed in place, with the operations of
     ``RhoFunction.rho`` in the same order, so its values are the same
     bit for bit."""
@@ -66,9 +73,9 @@ def _loss_eval(rho0: RhoFunction):
             if work.size < t.size:
                 work = np.empty(t.size)
             v2 = work[:t.size].reshape(t.shape)
+            np.minimum(t, k, out=t)  # so that squaring cannot overflow
             np.divide(t, k, out=t)
             np.square(t, out=t)
-            np.minimum(t, 1.0, out=t)
             v = np.subtract(1.0, t, out=t)
             np.multiply(v, v, out=v2)
             return np.subtract(1.0, np.multiply(v2, v, out=t), out=t)
@@ -86,6 +93,13 @@ SEARCH_STEPS = 12
 CHUNK_POINTS = 2 ** 15
 
 
+def _bisection_steps(span: float, tol: float) -> int:
+    """Bisection steps that shrink a bracket spanning ``span`` binary
+    orders, log2 hi - log2 lo, to relative width ``tol``, 2 of them for
+    rounding; SCALE_MAX_ITER when an end is zero or not finite."""
+    return math.ceil(span - math.log2(tol)) + 2 if math.isfinite(span) else SCALE_MAX_ITER
+
+
 def _mean_loss(A, rows, s, loss, buf=None):
     """mean loss(A[rows[i]] / s[i]), in buf in blocks of CHUNK_POINTS elements;
     add.reduce / n, which is ndarray.mean, sums each row alone, as in one pass."""
@@ -100,22 +114,23 @@ def _mean_loss(A, rows, s, loss, buf=None):
     return out / n
 
 
-def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float,
-                   tol: float, max_iter: int,
+def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float, tol: float,
                    lo_init: float | None = None,
                    hi_init: float | None = None,
                    hi_gap: float | None = None) -> float:
-    """Low-overhead scalar variant of the batch solver for hot loops: a
-    one-row ``_mscale_batch`` call gives the same sigma, but costs about
-    0.7 ms more per warm solve of the S refinement in per-step numpy
-    overhead (0.74 ms against 0.06 ms on a 2-vCPU host).
+    """M-scale of one residual vector, the solver of the S refinement and
+    of ``mscale``. A one-row ``_mscale_batch`` call gives the same sigma,
+    but costs more in per-step numpy overhead (2-vCPU host): 0.74 ms
+    against 0.06 ms per warm solve of the S refinement, and 1.6-2.3 ms
+    against 0.19-0.63 ms per certified solve of 200-5000 residuals.
 
-    Same bracket-then-bisect scheme, and the same answer bit for bit, as
-    the plain bisection; the caller guarantees finite residuals. The mean
-    loss does not increase with sigma, so a point where it exceeds delta
-    by more than DECIDE_TOL decides every smaller midpoint, and one where
-    it falls short by as much decides every larger one. Midpoints are
-    evaluated only when no such point decides them.
+    The same answer bit for bit as the plain scheme, without a status: a
+    caller that needs the root certifies it, as ``mscale`` does. The
+    caller guarantees finite residuals. The mean loss does not
+    increase with sigma, so a point where it exceeds delta by more than
+    DECIDE_TOL decides every smaller midpoint, and one where it falls
+    short by as much decides every larger one. Midpoints are evaluated
+    only when no such point decides them.
 
     ``hi_gap`` is mean rho0(|r| / hi_init) - delta as this module computes
     it, for a caller that has already evaluated it; when it is at most 0
@@ -154,7 +169,7 @@ def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float,
     def expand_lo():
         # the plain scheme's lower end: halve it until its gap is >= 0
         nonlocal lo
-        for _ in range(max_iter):
+        for _ in range(SCALE_MAX_ITER):
             g = gap(lo)
             if g >= 0.0:
                 break
@@ -173,7 +188,7 @@ def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float,
         if g_hi < -DECIDE_TOL:
             above = hi
     else:
-        for _ in range(max_iter):
+        for _ in range(SCALE_MAX_ITER):
             g_hi = gap(hi)
             if g_hi <= 0.0:
                 break
@@ -232,7 +247,8 @@ def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float,
     if below < lo and not lo_done:
         expand_lo()
 
-    for _ in range(max_iter):
+    span = math.log2(hi) - math.log2(lo) if lo > 0.0 else math.inf
+    for _ in range(_bisection_steps(span, tol)):
         if hi - lo <= tol * hi:
             break
         mid = 0.5 * (lo + hi)
@@ -244,15 +260,15 @@ def _mscale_scalar(r: np.ndarray, rho0: RhoFunction, delta: float,
 
 
 def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
-                  tol: float, max_iter: int, lo_init=None, hi_init=None,
+                  tol: float, lo_init=None, hi_init=None,
                   overwrite_input: bool = False):
     """M-scale of every row of a residual matrix.
 
     Returns (sigma, lo, hi, status) arrays; status 0 = the row's bracket
     met ``tol``, 1 = degenerate zero-residual row (sigma = 0), 2 = the
-    bracket never straddled the root or did not meet ``tol`` within
-    ``max_iter`` bisection steps. The root is not certified against the
-    objective; ``mscale`` does that for its one row.
+    bracket never straddled the root within SCALE_MAX_ITER expansions, or
+    its subnormal ends stalled before ``tol`` (module docstring). The root
+    is not certified against the objective.
 
     The answer is bit for bit that of a plain batch bisection, which
     expands each row's cold or warm bracket until mean rho0(|r|/lo) >=
@@ -280,8 +296,7 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
     quick-refine matrices of a 5000-row linear fit a call takes about 5.9
     loss passes over the matrix, against 11.3 when every row evaluated
     both cold ends first and took Illinois steps from them, and 39 for
-    plain bisection. On the benchmark's fits only the one-row solves at
-    tol 1e-12 of ``mscale`` evaluate a cold end.
+    plain bisection.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[1] == 0:
@@ -380,14 +395,16 @@ def _mscale_batch(R: np.ndarray, rho0: RhoFunction, delta: float,
     for end, known, bad, factor in ((lo_a, below, np.less, 0.5),
                                     (hi_a, above, np.greater, 2.0)):
         rows = np.flatnonzero(bad(known, end))
-        for _ in range(max_iter):
+        for _ in range(SCALE_MAX_ITER):
             rows = rows[bad(gap(rows, end[rows]), 0.0)]
             if rows.size == 0:
                 break
             end[rows] *= factor
         stuck[rows] = True
 
-    for _ in range(max_iter):
+    with np.errstate(divide="ignore"):  # a zero lower end: span inf
+        span = float(np.max(np.log2(hi_a) - np.log2(lo_a)))
+    for _ in range(_bisection_steps(span, tol)):
         if np.all(hi_a - lo_a <= tol * hi_a):
             break
         mid = 0.5 * (lo_a + hi_a)
@@ -413,10 +430,10 @@ def mscale(residuals, rho0: RhoFunction, delta: float = DEFAULT_DELTA) -> float:
     Returns 0 when the fraction of exactly-zero residuals reaches
     1 - delta, in which case the equation has no positive root and the
     caller should treat the input as an exact fit. Raises
-    ConvergenceError, carrying the final bracket, when a positive root
-    misses the certificate |mean rho0(r/sigma) - delta| <= CERT_TOL.
-    Deterministic: the same inputs always produce the same bracket
-    sequence and root.
+    ConvergenceError when a positive root misses the certificate
+    |mean rho0(r/sigma) - delta| <= CERT_TOL; its bracket, sigma (1 +-
+    SCALE_TOL), contains the final bisection bracket. Deterministic: the
+    same inputs always produce the same bracket sequence and root.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -428,19 +445,8 @@ def mscale(residuals, rho0: RhoFunction, delta: float = DEFAULT_DELTA) -> float:
     if not np.all(np.isfinite(r)):
         raise DomainError("residuals must be finite")
 
-    sigma, lo, hi, status = _mscale_batch(r[None, :], rho0, delta,
-                                          SCALE_TOL, SCALE_MAX_ITER)
-    if (status[0] == 2 and lo[0] > 0.0
-            and mscale_objective(r, rho0, lo[0]) >= delta >= mscale_objective(r, rho0, hi[0])):
-        # the bracket straddles the root but was too wide for SCALE_MAX_ITER
-        # bisection steps (a cold upper end near 1e51 takes about 210):
-        # bisect on, as many steps as its width needs
-        steps = math.ceil(math.log2(hi[0] / (lo[0] * SCALE_TOL))) + 2
-        sigma, lo, hi, status = _mscale_batch(r[None, :], rho0, delta, SCALE_TOL,
-                                              steps, lo_init=lo, hi_init=hi)
-    s = float(sigma[0])
-    if status[0] == 2 or (status[0] == 0 and
-                          abs(mscale_objective(r, rho0, s) - delta) > CERT_TOL):
+    s = _mscale_scalar(r, rho0, delta, SCALE_TOL)
+    if s > 0.0 and abs(mscale_objective(r, rho0, s) - delta) > CERT_TOL:
         raise ConvergenceError("M-scale bisection did not certify a root",
-                               bracket=(float(lo[0]), float(hi[0])))
+                               bracket=(s * (1.0 - SCALE_TOL), s * (1.0 + SCALE_TOL)))
     return s

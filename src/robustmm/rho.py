@@ -74,7 +74,7 @@ class RhoFunction:
         """Loss value in [0, 1]; accepts scalars or arrays."""
         t = self._check(t)
         if self.kind == "bisquare":
-            u2 = np.minimum((t / self.k) ** 2, 1.0)
+            u2 = (np.minimum(np.abs(t), self.k) / self.k) ** 2
             v = 1.0 - u2
             out = 1.0 - v * v * v
         else:
@@ -85,9 +85,9 @@ class RhoFunction:
         """First derivative of the loss (the score); 0 outside [-k, k]."""
         t = self._check(t)
         if self.kind == "bisquare":
-            u = t / self.k
+            u = np.clip(t, -self.k, self.k) / self.k
             v = 1.0 - u * u
-            out = np.where(np.abs(u) <= 1.0, (6.0 / self.k) * u * v * v, 0.0)
+            out = np.where(np.abs(t) <= self.k, (6.0 / self.k) * u * v * v, 0.0)
         else:
             out = np.asarray(self.psi_fn(t), dtype=float)
         return out if out.ndim else float(out)
@@ -96,9 +96,9 @@ class RhoFunction:
         """Second derivative of the loss; 0 outside [-k, k]."""
         t = self._check(t)
         if self.kind == "bisquare":
-            u2 = (t / self.k) ** 2
+            u2 = (np.minimum(np.abs(t), self.k) / self.k) ** 2
             v = 1.0 - u2
-            out = np.where(u2 <= 1.0, (6.0 / self.k**2) * v * (1.0 - 5.0 * u2), 0.0)
+            out = np.where(np.abs(t) <= self.k, (6.0 / self.k**2) * v * (1.0 - 5.0 * u2), 0.0)
         else:
             out = np.asarray(self.psi_prime_fn(t), dtype=float)
         return out if out.ndim else float(out)
@@ -108,9 +108,10 @@ class RhoFunction:
         filled by psi'(0)."""
         t = self._check(t)
         if self.kind == "bisquare":
-            u2 = (t / self.k) ** 2
+            # |t| clipped to k: v is 0 outside the window, and squaring cannot overflow
+            u2 = (np.minimum(np.abs(t), self.k) / self.k) ** 2
             v = 1.0 - u2
-            out = np.where(u2 <= 1.0, (6.0 / self.k**2) * v * v, 0.0)
+            out = (6.0 / self.k**2) * v * v
         else:
             t_arr = np.atleast_1d(t)
             small = np.abs(t_arr) < 1e-12

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from robustmm import (AugmentedParam, Dataset, FitConfig, bisquare, fd_model, fit,
-                      fit_mm, fit_s, linear_model, location_model, exp_model,
-                      mscale, residuals)
+from robustmm import (AugmentedParam, Dataset, FitConfig, asymptotic_cov, bisquare,
+                      fd_model, fit, linear_model, location_model, exp_model, mscale,
+                      residuals)
+from robustmm.estimators import _fit_mm_stage, _fit_s_stage
 from robustmm.exceptions import FitError
+from robustmm.montecarlo import SimScenario, _generate
 from robustmm.mscale import mscale_objective
 
 from gridoracle import grid_location_oracle, grid_mm_oracle, grid_s_oracle
@@ -61,7 +65,7 @@ class TestFitS:
         X = rng.normal(size=(40, 2))
         beta0, alpha0 = np.array([1.5, -2.0]), 0.7
         d = Dataset(x=X, y=X @ beta0 + alpha0)
-        xi, sigma = fit_s(d, linear_model(2), CFG)
+        xi, sigma = _fit_s_stage(d, linear_model(2), CFG)[:2]
         assert sigma == 0.0
         assert np.allclose(xi.beta, beta0, atol=1e-8)
         assert xi.alpha == pytest.approx(alpha0, abs=1e-8)
@@ -70,7 +74,7 @@ class TestFitS:
         rng = np.random.default_rng(1)
         beta0, alpha0 = [2.0], 1.0
         d = make_linear(rng, 50, 1, beta0, alpha0)
-        xi, sigma = fit_s(d, linear_model(1), CFG)
+        xi, sigma = _fit_s_stage(d, linear_model(1), CFG)[:2]
         at_truth = mscale(residuals(d, linear_model(1),
                                     AugmentedParam(beta0, alpha0)),
                           CFG.rho0, CFG.delta)
@@ -80,7 +84,7 @@ class TestFitS:
         rng = np.random.default_rng(2)
         d = make_linear(rng, 60, 2, [1.0, -1.0], 0.0)
         m = linear_model(2)
-        xi, sigma = fit_s(d, m, CFG)
+        xi, sigma = _fit_s_stage(d, m, CFG)[:2]
         again = mscale(residuals(d, m, xi), CFG.rho0, CFG.delta)
         assert sigma == pytest.approx(again, rel=1e-10)
 
@@ -90,7 +94,7 @@ class TestFitS:
         y = 0.8 * x - 0.3 + 0.4 * rng.normal(size=8)
         d = Dataset(x=x.reshape(-1, 1), y=y)
         cfg = FitConfig(n_subsamples=100, seed=7)
-        xi, sigma = fit_s(d, linear_model(1), cfg)
+        xi, sigma = _fit_s_stage(d, linear_model(1), cfg)[:2]
         (b_g, a_g), sig_g = grid_s_oracle(x, y, cfg.rho0.k, cfg.delta)
         assert sigma <= sig_g + 1e-4
         assert abs(xi.beta[0] - b_g) <= 1e-3
@@ -106,7 +110,7 @@ class TestFitMM:
         from robustmm.model import location_model
         m = location_model()
         sigma = mscale(y - 3.0, CFG.rho0, CFG.delta)
-        got = fit_mm(d, m, CFG, sigma, AugmentedParam(np.zeros(0), 3.0))
+        got = _fit_mm_stage(d, m, CFG, sigma, AugmentedParam(np.zeros(0), 3.0))[0]
         assert got.alpha == pytest.approx(3.0, abs=1e-10)
 
     def test_tiny_instance_grid_oracle(self):
@@ -125,7 +129,7 @@ class TestFitMM:
     def test_sigma_must_be_positive(self):
         d = Dataset(x=np.zeros((5, 1)), y=np.arange(5.0))
         with pytest.raises(ValueError):
-            fit_mm(d, linear_model(1), CFG, 0.0, AugmentedParam([0.0], 0.0))
+            _fit_mm_stage(d, linear_model(1), CFG, 0.0, AugmentedParam([0.0], 0.0))
 
 
 class TestFit:
@@ -204,7 +208,7 @@ class TestStopPolicies:
         start = AugmentedParam(res.xi_s.beta + 0.5, res.xi_s.alpha - 0.5)
         monkeypatch.setattr(est, "IRWLS_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="MM stage") as err:
-            fit_mm(d, m, CFG, res.sigma, start)
+            _fit_mm_stage(d, m, CFG, res.sigma, start)
         last = err.value.last
         assert isinstance(last, AugmentedParam)
         # the one accepted step descended the objective
@@ -318,7 +322,7 @@ class TestRobustness:
 
     def test_far_outliers_certified(self):
         # 6 of 30 responses at 1e50 put the certified M-scale's cold upper
-        # end near 1e51, wider than SCALE_MAX_ITER bisection steps shrink
+        # end near 1e51, wider than 200 bisection steps shrink
         rng = np.random.default_rng(18)
         X = rng.normal(size=(30, 1))
         y = X[:, 0] + rng.normal(size=30)
@@ -326,6 +330,35 @@ class TestRobustness:
         res = fit(Dataset(x=X, y=y), linear_model(1), FitConfig(n_subsamples=50, seed=4))
         assert res.certified
         assert abs(res.xi_mm.beta[0] - 1.0) < 1.0
+
+    def test_saturating_outliers_certified(self):
+        # replication 0 of a contamination run (p = 1, n = 30, 10 subsamples)
+        # with 6 responses at a magnitude: from 1e150 on, a cold scale solve
+        # of the S refinement spans more binary orders than 200 bisection
+        # steps halve, and (t / k)^2 in the loss overflows
+        scen = SimScenario(kind="contamination", p=1, sizes=(30,), replications=1,
+                           n_subsamples=10, contamination_fractions=(0.2,))
+        rng = scen.stream(0)
+        d = _generate(scen, 30, rng)
+        bad = rng.permutation(30)[:6]
+        m, cfg = scen.build_model(), scen.fit_config(scen.fit_seed(0))
+
+        def refit(magnitude):
+            y = d.y.copy()
+            y[bad] = magnitude
+            dirty = Dataset(x=d.x, y=y)
+            res = fit(dirty, m, cfg)
+            asymptotic_cov(dirty, m, res, cfg)
+            return res
+
+        base = refit(1e50)
+        assert base.certified
+        for magnitude in (1e150, 1e200, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = refit(magnitude)
+            assert res.certified, (magnitude, res.equation_residuals)
+            assert abs(res.xi_mm.beta[0] - base.xi_mm.beta[0]) <= 1e-6
 
 def _box_loop(d, m, n_sub, rng):
     """Box candidates one draw at a time, as the search drew them before
@@ -385,7 +418,7 @@ def _full_last_pass(d, m, XI):
     """The last quick-refine pass without the screen: every row solved."""
     import robustmm.estimators as est
     R = est._residual_matrix(d, m, XI)
-    sigma, _, _, status = est._mscale_batch(R, CFG.rho0, CFG.delta, 1e-8, 150)
+    sigma, _, _, status = est._mscale_batch(R, CFG.rho0, CFG.delta, 1e-8)
     return np.where(status == 1, 0.0, sigma), status
 
 
@@ -469,7 +502,7 @@ class TestRankingScreen:
                 for row in R[rng.random(m) < 0.3]:
                     row[: int(0.6 * n)] = 0.0  # exact fits
             got = est._rank_scales(R, rng.uniform(0.5, 2.0, size=m), CFG)
-            sigma, _, _, status = est._mscale_batch(R, CFG.rho0, CFG.delta, 1e-8, 150)
+            sigma, _, _, status = est._mscale_batch(R, CFG.rho0, CFG.delta, 1e-8)
             want = np.where(status == 1, 0.0, sigma)
             best = np.sort(want)[min(est.N_BEST, m) - 1]
             assert np.all(np.isfinite(got[want <= best]))
@@ -482,7 +515,7 @@ class TestRankingScreen:
         rng = np.random.default_rng(79)
         R = rng.normal(size=(30, 80)) * rng.uniform(0.5, 20.0, size=(30, 1))
         R[3] *= 1e-318  # subnormal: its bracket cannot meet the tolerance
-        assert est._mscale_batch(R[3:4], CFG.rho0, CFG.delta, 1e-8, 150)[3][0] == 2
+        assert est._mscale_batch(R[3:4], CFG.rho0, CFG.delta, 1e-8)[3][0] == 2
         prev = np.arange(30.0)
         prev[3] = 100.0  # not a seed
         assert np.any(np.isinf(est._rank_scales(R, prev, CFG)))
@@ -603,7 +636,7 @@ class TestBatchedRefine:
             d, m = Dataset(x=X, y=y), linear_model(3)
             XI = np.asarray(est._elemental_candidates(d, m, 60, CFG.rng()))
         R = est._residual_matrix(d, m, XI)
-        sigma = est._mscale_batch(R, CFG.rho0, CFG.delta, 1e-8, 150)[0]
+        sigma = est._mscale_batch(R, CFG.rho0, CFG.delta, 1e-8)[0]
         # weight only on rows where the Jacobian cannot span: for the
         # linear model the zero rows of X, for location none at all
         far = np.full(n, 1e6)
@@ -643,7 +676,7 @@ class TestBatchedRefine:
         assert not m.shared_jacobian
         XI = est._box_candidates(d, m, 60, CFG.rng())
         R = est._residual_matrix(d, m, XI)
-        sigma = est._mscale_batch(R, CFG.rho0, CFG.delta, 1e-8, 150)[0]
+        sigma = est._mscale_batch(R, CFG.rho0, CFG.delta, 1e-8)[0]
         # weight only on the rows x = 0, where (e, b1 x e, 1) spans one direction
         R[-1], sigma[-1] = np.where(x[:, 0] == 0.0, rng.normal(size=n), 1e6), 1.0
         want = _loop_pass(d, m, XI, R, sigma)

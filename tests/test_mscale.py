@@ -95,8 +95,7 @@ class TestMScale:
         r = rng.normal(size=30)
         s = mscale(r, RHO, DELTA)
         _, (lo,), (hi,), _ = mscale_module._mscale_batch(
-            r[None, :], RHO, DELTA, mscale_module.SCALE_TOL,
-            mscale_module.SCALE_MAX_ITER)
+            r[None, :], RHO, DELTA, mscale_module.SCALE_TOL)
         assert lo <= s <= hi
         assert mscale_objective(r, RHO, lo) >= DELTA >= mscale_objective(r, RHO, hi)
 
@@ -149,31 +148,36 @@ class TestMScale:
             assert abs(mscale_objective(r, RHO, s) - delta) <= 1e-10
 
 
-def plain_bisection(r, rho0, delta, tol, max_iter, lo=None, hi=None):
+#: cap on the expansions of each bracket end of the plain schemes
+EXPANSIONS = 200
+
+
+def plain_bisection(r, rho0, delta, tol, lo=None, hi=None):
     """The bracket-then-bisect scheme of the scalar solver, evaluating
-    every midpoint."""
+    every midpoint, bisecting until the bracket meets ``tol`` or stops
+    shrinking."""
     a = np.abs(r)
     if lo is None:
         med = float(np.median(a))
         lo = (med if med > 0.0 else float(a[a > 0.0].min())) / rho0.k
     if hi is None:
         hi = float(a.max() * rho0.k * 10.0)
-    for _ in range(max_iter):
+    for _ in range(EXPANSIONS):
         if float(rho0.rho(a / lo).mean()) >= delta:
             break
         lo *= 0.5
-    for _ in range(max_iter):
+    for _ in range(EXPANSIONS):
         if float(rho0.rho(a / hi).mean()) <= delta:
             break
         hi *= 2.0
-    for _ in range(max_iter):
-        if hi - lo <= tol * hi:
-            break
+    while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
         if float(rho0.rho(a / mid).mean()) >= delta:
-            lo = mid
+            lo, moved = mid, mid != lo
         else:
-            hi = mid
+            hi, moved = mid, mid != hi
+        if not moved:
+            break
     return 0.5 * (lo + hi)
 
 
@@ -200,17 +204,17 @@ class TestScalarSolver:
                 r = np.round(r, 1)  # ties
             root = bisect_oracle(r, RHO, 0.5)
             for tol in (1e-12, 1e-10, 1e-8, 1e-4):
-                assert mscale_module._mscale_scalar(r, RHO, 0.5, tol, 200) == \
-                    plain_bisection(r, RHO, 0.5, tol, 200)
+                assert mscale_module._mscale_scalar(r, RHO, 0.5, tol) == \
+                    plain_bisection(r, RHO, 0.5, tol)
                 lo, hi = root * rng.uniform(0.1, 1.2), root * rng.uniform(0.9, 3.0)
-                assert mscale_module._mscale_scalar(r, RHO, 0.5, tol, 200,
+                assert mscale_module._mscale_scalar(r, RHO, 0.5, tol,
                                                     lo_init=lo, hi_init=hi) == \
-                    plain_bisection(r, RHO, 0.5, tol, 200, lo=lo, hi=hi)
+                    plain_bisection(r, RHO, 0.5, tol, lo=lo, hi=hi)
 
     def test_cold_bracket_matches_oracle(self):
         for r in self._cases():
             root = bisect_oracle(r, RHO, 0.5)
-            s = mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200)
+            s = mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL)
             assert abs(s - root) <= self.TOL * root
 
     def test_warm_brackets_match_oracle(self):
@@ -222,13 +226,13 @@ class TestScalarSolver:
                            (0.25 * root * 1.001, root * 1.001),
                            (2.0 * root, 3.0 * root),
                            (0.1 * root, 0.5 * root)):
-                s = mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200,
+                s = mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL,
                                                  lo_init=lo, hi_init=hi)
                 assert abs(s - root) <= self.TOL * root
 
     def test_degenerate_is_zero(self):
         r = np.array([0.0, 0.0, 1.0, 2.0])
-        assert mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200) == 0.0
+        assert mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL) == 0.0
 
     def test_fewer_loss_calls_than_bisection(self, monkeypatch):
         # plain bisection needs about 33 calls to shrink [sigma / 4, sigma]
@@ -248,7 +252,7 @@ class TestScalarSolver:
         rng = np.random.default_rng(37)
         r = rng.normal(size=300)
         root = bisect_oracle(r, RHO, 0.5)
-        mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200,
+        mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL,
                                      lo_init=0.25 * root, hi_init=root * (1 + 1e-9))
         assert len(calls) <= 12
 
@@ -279,9 +283,9 @@ class TestScalarSolver:
             assert g <= 0.0
             kinds.add(-1 if g < -mscale_module.DECIDE_TOL else int(g == 0.0))
             for tol in (1e-8, 1e-10):
-                assert mscale_module._mscale_scalar(r, RHO, delta, tol, 200, lo_init=lo,
+                assert mscale_module._mscale_scalar(r, RHO, delta, tol, lo_init=lo,
                                                     hi_init=hi, hi_gap=g) == \
-                    plain_bisection(r, RHO, delta, tol, 200, lo=lo, hi=hi)
+                    plain_bisection(r, RHO, delta, tol, lo=lo, hi=hi)
         assert kinds == {-1, 0, 1}
 
     def test_positive_gap_is_not_trusted(self):
@@ -290,9 +294,9 @@ class TestScalarSolver:
         for r in self._cases():
             root = bisect_oracle(r, RHO, 0.5)
             lo, hi = 0.1 * root, 0.5 * root
-            assert mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200, lo_init=lo,
+            assert mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, lo_init=lo,
                                                 hi_init=hi, hi_gap=self._gap(r, 0.5, hi)) == \
-                plain_bisection(r, RHO, 0.5, self.TOL, 200, lo=lo, hi=hi)
+                plain_bisection(r, RHO, 0.5, self.TOL, lo=lo, hi=hi)
 
     def test_equal_gaps_take_the_midpoint(self):
         # 8 of 40 residuals at 1e150 saturate the loss all over the warm
@@ -304,9 +308,9 @@ class TestScalarSolver:
         g = self._gap(r, 0.5, hi)
         assert g == self._gap(r, 0.5, 0.5 * (lo + hi)) < 0.0
         for tol in (1e-8, 1e-10):
-            assert mscale_module._mscale_scalar(r, RHO, 0.5, tol, 200, lo_init=lo,
+            assert mscale_module._mscale_scalar(r, RHO, 0.5, tol, lo_init=lo,
                                                 hi_init=hi, hi_gap=g) == \
-                plain_bisection(r, RHO, 0.5, tol, 200, lo=lo, hi=hi)
+                plain_bisection(r, RHO, 0.5, tol, lo=lo, hi=hi)
 
     @staticmethod
     def _count_loss_calls(monkeypatch):
@@ -333,7 +337,7 @@ class TestScalarSolver:
         for r in self._cases():
             root = bisect_oracle(r, RHO, 0.5)
             hi = root * (1 + 1e-9)
-            mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200, lo_init=0.25 * root,
+            mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, lo_init=0.25 * root,
                                          hi_init=hi, hi_gap=self._gap(r, 0.5, hi))
             solves += 1
         assert len(calls) / solves <= 5.0
@@ -344,7 +348,7 @@ class TestScalarSolver:
             mean = float(RHO.rho(np.abs(r) / hi).mean())
             for delta in (mean, mean + 0.5 * mscale_module.DECIDE_TOL):
                 calls.clear()
-                mscale_module._mscale_scalar(r, RHO, delta, self.TOL, 200, lo_init=0.25 * hi,
+                mscale_module._mscale_scalar(r, RHO, delta, self.TOL, lo_init=0.25 * hi,
                                              hi_init=hi, hi_gap=self._gap(r, delta, hi))
                 assert len(calls) <= 8
 
@@ -359,22 +363,23 @@ class TestScalarSolver:
         for r in self._cases():
             root = bisect_oracle(r, RHO, 0.5)
             hi = 1.5 * root
-            mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, 200, lo_init=1.25 * root,
+            mscale_module._mscale_scalar(r, RHO, 0.5, self.TOL, lo_init=1.25 * root,
                                          hi_init=hi, hi_gap=self._gap(r, 0.5, hi))
             solves += 1
         assert len(calls) / solves <= 16.0
         calls.clear()
         for r in self._cases():
-            mscale_module._mscale_scalar(r, RHO, 0.9, 1e-8, 200)
+            mscale_module._mscale_scalar(r, RHO, 0.9, 1e-8)
         assert len(calls) / solves <= 16.0
 
 
-def plain_batch_bisection(R, rho0, delta, tol, max_iter, lo_init=None,
-                          hi_init=None, loss=None):
+def plain_batch_bisection(R, rho0, delta, tol, lo_init=None, hi_init=None, loss=None):
     """The batch solver as a plain bisection that evaluates every row at
     every step: expand each row's bracket, then bisect all rows together
-    until every row meets ``tol``. Status 2 marks a row whose bracket
-    never straddled the root or missed ``tol``."""
+    until every row meets ``tol`` or no bracket shrinks. Status 2 marks a
+    row whose bracket never straddled the root or missed ``tol``. (Where
+    subnormal rows stall beside rows that still shrink, the solver stops
+    at its step bound instead, so no test mixes the two.)"""
     loss = rho0.rho if loss is None else loss
     absR = np.abs(np.asarray(R, dtype=float))
     m, n = absR.shape
@@ -403,14 +408,14 @@ def plain_batch_bisection(R, rho0, delta, tol, max_iter, lo_init=None,
         hi_a = np.broadcast_to(np.asarray(hi_init, dtype=float), (len(A),)).copy()
 
     stuck = np.zeros(len(A), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(EXPANSIONS):
         bad = objective(A, lo_a) < delta
         if not np.any(bad):
             break
         lo_a[bad] *= 0.5
     else:
         stuck |= bad
-    for _ in range(max_iter):
+    for _ in range(EXPANSIONS):
         bad = objective(A, hi_a) > delta
         if not np.any(bad):
             break
@@ -418,13 +423,14 @@ def plain_batch_bisection(R, rho0, delta, tol, max_iter, lo_init=None,
     else:
         stuck |= bad
 
-    for _ in range(max_iter):
-        if np.all(hi_a - lo_a <= tol * hi_a):
-            break
+    while not np.all(hi_a - lo_a <= tol * hi_a):
         mid = 0.5 * (lo_a + hi_a)
         above = objective(A, mid) >= delta
+        moved = np.where(above, mid != lo_a, mid != hi_a)
         lo_a = np.where(above, mid, lo_a)
         hi_a = np.where(above, hi_a, mid)
+        if not moved.any():
+            break
 
     met = (hi_a - lo_a <= tol * hi_a) & ~stuck
     sigma[active] = 0.5 * (lo_a + hi_a)
@@ -482,9 +488,9 @@ class TestBatchSolver:
                      root * rng.uniform(0.2, 0.8, root.size)))
             for tol in (1e-12, 1e-10, 1e-8, 1e-4):
                 for lo, hi in warm:
-                    want = plain_batch_bisection(R, RHO, 0.5, tol, 150, lo, hi)
+                    want = plain_batch_bisection(R, RHO, 0.5, tol, lo, hi)
                     assert_same_solve(mscale_module._mscale_batch(
-                        R, RHO, 0.5, tol, 150, lo_init=lo, hi_init=hi), want)
+                        R, RHO, 0.5, tol, lo_init=lo, hi_init=hi), want)
 
     def test_zero_median_rows_in_blocks(self):
         # at delta = 0.25 a row is degenerate from 75 % zeros on, so rows
@@ -496,26 +502,40 @@ class TestBatchSolver:
             row[: int(share * row.size) + 1] = 0.0
         assert np.all(np.median(np.abs(R[::4]), axis=1) == 0.0)
         for tol in (1e-12, 1e-8):
-            got = mscale_module._mscale_batch(R, RHO, 0.25, tol, 150)
-            assert_same_solve(got, plain_batch_bisection(R, RHO, 0.25, tol, 150))
+            got = mscale_module._mscale_batch(R, RHO, 0.25, tol)
+            assert_same_solve(got, plain_batch_bisection(R, RHO, 0.25, tol))
             assert np.all(got[3] == 0)
 
     def test_status_two_only_when_tol_missed(self):
         rng = np.random.default_rng(61)
         R = rng.normal(size=(6, 50))
-        ok = mscale_module._mscale_batch(R, RHO, 0.5, self.TOL, 150)
+        ok = mscale_module._mscale_batch(R, RHO, 0.5, self.TOL)
         assert np.all(ok[3] == 0)
-        # too few bisection steps, and a bracket too far off to expand
-        short = mscale_module._mscale_batch(R, RHO, 0.5, 1e-12, 10)
-        assert_same_solve(short, plain_batch_bisection(R, RHO, 0.5, 1e-12, 10))
-        assert np.all(short[3] == 2)
-        far = mscale_module._mscale_batch(R, RHO, 0.5, 1e-4, 10, lo_init=1e6)
-        assert_same_solve(far, plain_batch_bisection(R, RHO, 0.5, 1e-4, 10, 1e6))
+        # a lower end that SCALE_MAX_ITER halvings cannot bring below the
+        # root, and subnormal rows, whose brackets stall before tol
+        far = mscale_module._mscale_batch(R, RHO, 0.5, 1e-4, lo_init=1e100)
+        assert_same_solve(far, plain_batch_bisection(R, RHO, 0.5, 1e-4, 1e100))
         assert np.all(far[3] == 2)
+        tiny = mscale_module._mscale_batch(R * 1e-318, RHO, 0.5, self.TOL)
+        assert_same_solve(tiny, plain_batch_bisection(R * 1e-318, RHO, 0.5, self.TOL))
+        assert np.all(tiny[3] == 2)
 
-    # a row mixing tiny and large residuals overflows (t / k)^2 to inf,
-    # which the loss saturates to 1 in both solvers
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_wide_brackets_bisected_to_tolerance(self):
+        # 6 of 30 residuals at 1e100 or 1e300: the cold bracket spans 340 or
+        # 1,000 binary orders, more than a fixed cap of 200 bisection steps
+        rng = np.random.default_rng(19)
+        r = rng.normal(size=30)
+        root = bisect_oracle(r[6:].tolist() + [1e3] * 6, RHO, 0.5)
+        for magnitude in (1e100, 1e300):
+            r[:6] = magnitude
+            for tol in (1e-12, 1e-10, 1e-8):
+                want = plain_bisection(r, RHO, 0.5, tol)
+                assert abs(want - root) <= tol * root
+                assert mscale_module._mscale_scalar(r, RHO, 0.5, tol) == want
+                got = mscale_module._mscale_batch(r[None, :], RHO, 0.5, tol)
+                assert_same_solve(got, plain_batch_bisection(r[None, :], RHO, 0.5, tol))
+                assert got[0][0] == want and got[3][0] == 0
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(R=arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 60)),
                     elements=st.one_of(
@@ -524,8 +544,8 @@ class TestBatchSolver:
            tol=st.sampled_from([1e-12, 1e-8, 1e-4]),
            delta=st.sampled_from([0.25, 0.5, 0.75]))
     def test_property_same_as_plain_bisection(self, R, tol, delta):
-        assert_same_solve(mscale_module._mscale_batch(R, RHO, delta, tol, 150),
-                          plain_batch_bisection(R, RHO, delta, tol, 150))
+        assert_same_solve(mscale_module._mscale_batch(R, RHO, delta, tol),
+                          plain_batch_bisection(R, RHO, delta, tol))
 
     def test_half_the_loss_points_of_plain_bisection(self, monkeypatch):
         points = []
@@ -542,12 +562,12 @@ class TestBatchSolver:
         rng = np.random.default_rng(67)
         R = rng.standard_t(df=3, size=(100, 2000)) * rng.uniform(0.5, 2.0, size=(100, 1))
         R[:, :400] += rng.normal(40.0, 5.0, size=(100, 400))  # outliers
-        want = plain_batch_bisection(R, RHO, 0.5, self.TOL, 150,
+        want = plain_batch_bisection(R, RHO, 0.5, self.TOL,
                                      loss=counting(RHO))
         plain = sum(points)
         points.clear()
         monkeypatch.setattr(mscale_module, "_loss_eval", counting)
-        got = mscale_module._mscale_batch(R, RHO, 0.5, self.TOL, 150)
+        got = mscale_module._mscale_batch(R, RHO, 0.5, self.TOL)
         assert_same_solve(got, want)
         assert sum(points) <= 0.5 * plain
 
@@ -571,13 +591,13 @@ class TestBatchSolver:
         rng = np.random.default_rng(67)  # the outlier matrix above
         R = rng.standard_t(df=3, size=(100, 2000)) * rng.uniform(0.5, 2.0, size=(100, 1))
         R[:, :400] += rng.normal(40.0, 5.0, size=(100, 400))
-        mscale_module._mscale_batch(R, RHO, 0.5, self.TOL, 150)
+        mscale_module._mscale_batch(R, RHO, 0.5, self.TOL)
         assert sum(points) <= 8 * R.size
         for delta, before in self.BOTH_ENDS_POINTS.items():
             points.clear()
             for R in self._matrices():
-                assert_same_solve(mscale_module._mscale_batch(R, RHO, delta, self.TOL, 150),
-                                  plain_batch_bisection(R, RHO, delta, self.TOL, 150))
+                assert_same_solve(mscale_module._mscale_batch(R, RHO, delta, self.TOL),
+                                  plain_batch_bisection(R, RHO, delta, self.TOL))
             assert sum(points) <= before
 
     def test_one_row_calls_equal_scalar(self):
@@ -590,16 +610,15 @@ class TestBatchSolver:
             for lo, hi in ((None, None), (0.25 * root, root * (1 + 1e-9)),
                            (2.0 * root, 3.0 * root)):
                 one = mscale_module._mscale_batch(r[None, :], RHO, 0.5, self.TOL,
-                                                  150, lo_init=lo, hi_init=hi)[0][0]
+                                                  lo_init=lo, hi_init=hi)[0][0]
                 assert one == mscale_module._mscale_scalar(
-                    r, RHO, 0.5, self.TOL, 150, lo_init=lo, hi_init=hi)
+                    r, RHO, 0.5, self.TOL, lo_init=lo, hi_init=hi)
 
     def test_batched_rows_move_within_tolerance(self):
         rng = np.random.default_rng(47)
         R = rng.normal(size=(50, 100)) * rng.uniform(0.1, 10.0, size=(50, 1))
-        batched = mscale_module._mscale_batch(R, RHO, 0.5, self.TOL, 150)[0]
-        one_row = np.array([mscale_module._mscale_batch(r[None, :], RHO, 0.5,
-                                                        self.TOL, 150)[0][0]
+        batched = mscale_module._mscale_batch(R, RHO, 0.5, self.TOL)[0]
+        one_row = np.array([mscale_module._mscale_batch(r[None, :], RHO, 0.5, self.TOL)[0][0]
                             for r in R])
         assert np.all(np.abs(batched - one_row) <= self.TOL * one_row)
         assert np.count_nonzero(batched != one_row) > 0
